@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 Matrix = list[list[int]]
@@ -83,51 +84,152 @@ def det_bareiss(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank_mod_p(a, p: int) -> int:
-    """Rank of a matrix over F_p by Gaussian elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [[x % p for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    col = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
+def _nonzeros(row) -> list[tuple[int, int]]:
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _axpy(acc: list, c: int, row, nonzeros) -> list:
+    """acc + c * row; nonzeros lists the (index, value) pairs of row.
+
+    Updates acc in place when row is sparse, else returns a new list, so
+    callers must use the return value.
+    """
+    if 3 * len(nonzeros) < len(row):
+        for j, x in nonzeros:
+            acc[j] += c * x
+        return acc
+    return [a + c * x for a, x in zip(acc, row)]
+
+
+def _combine_rows(coeffs, rows, nonzeros) -> list:
+    """sum_k coeffs[k] * rows[k], skipping zero coefficients."""
+    acc = [0] * len(rows[0])
+    for k, c in enumerate(coeffs):
+        if c:
+            acc = _axpy(acc, c, rows[k], nonzeros[k])
+    return acc
+
+
+def mat_mul_sparse(a, b) -> Matrix:
+    """a * b with each row of the product built as a combination of rows of b.
+
+    Zero entries of a and of b cost nothing, which pays off on sparse
+    operands; on dense small matrices ``mat_mul`` is faster.
+    """
+    b_nonzeros = [_nonzeros(row) for row in b]
+    return [_combine_rows(row, b, b_nonzeros) for row in a]
+
+
+def mat_pow(a, e: int) -> Matrix:
+    """a^e for e >= 1 by left-to-right binary powering with ``mat_mul_sparse``.
+
+    Takes floor(log2 e) squarings and popcount(e) - 1 multiplications by a.
+    """
+    if e < 1:
+        raise ValueError("exponent must be positive")
+    result = [list(row) for row in a]
+    for bit in bin(e)[3:]:
+        result = mat_mul_sparse(result, result)
+        if bit == "1":
+            result = mat_mul_sparse(result, a)
+    return result
+
+
+def echelon_mod_p(a, p: int) -> list[list[int]]:
+    """Echelon basis of the F_p row space of an integer matrix.
+
+    Rows are taken one at a time and reduced against the basis rows found
+    so far, in the order they were found.  Each basis row has entries in
+    [0, p), a leading 1 at its pivot column, and zeros at the pivot
+    columns of the basis rows before it.  Zero coefficients are skipped
+    and sparse basis rows are applied entry by entry, so sparse input
+    costs little more than its nonzeros.
+    """
+    basis: list[tuple[int, list[int], list[tuple[int, int]]]] = []
+    width = len(a[0]) if a else 0
+    for row in a:
+        if len(basis) == width:
             break
-    return rank
+        row = list(row)
+        for col, prow, nonzeros in basis:
+            c = row[col] % p
+            if c:
+                row = _axpy(row, p - c, prow, nonzeros)
+        row = [x % p for x in row]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        if inv != 1:
+            row = [x * inv % p for x in row]
+        basis.append((lead, row, _nonzeros(row)))
+    return [prow for _, prow, _ in basis]
+
+
+def rank_mod_p(a, p: int) -> int:
+    """Rank of a matrix over F_p: the size of its ``echelon_mod_p`` basis."""
+    return len(echelon_mod_p(a, p))
+
+
+def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
+    """[rank A^0, rank A^1, ..., rank A^steps] over F_p for a square matrix A.
+
+    No power of A is formed: rowspace(A^j) = rowspace(A^(j-1)) * A, so each
+    step multiplies the echelon basis of the previous image by A (skipping
+    its zero coefficients) and echelonises the products.  Once the rank
+    reaches 0 the remaining entries are 0.
+    """
+    m = [[x % p for x in row] for row in a]
+    m_nonzeros = [_nonzeros(row) for row in m]
+    ranks = [len(m)]
+    products = m
+    while len(ranks) <= steps:
+        image = echelon_mod_p(products, p)
+        ranks.append(len(image))
+        if not image:
+            break
+        products = [_combine_rows(row, m, m_nonzeros) for row in image]
+    return ranks + [0] * (steps + 1 - len(ranks))
+
+
+def _integral_row(row) -> list[int]:
+    """Scale a row of ints and Fractions to integers by the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def rank_rational(a) -> int:
-    """Rank over Q by exact fraction elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
+    """Rank over Q by fraction-free (Bareiss) elimination.
+
+    Accepts integer or ``Fraction`` entries; each row is first scaled to
+    integers by the lcm of its denominators, which keeps the rank.  After k
+    pivots every remaining entry is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact and entries stay bounded by
+    Hadamard's inequality.
+    """
+    m = [r for r in map(_integral_row, a) if any(r)]
+    cols = len(m[0]) if m else 0
     rank = 0
+    prev = 1
     for col in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][col]), None)
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, rows):
-            if m[r][col]:
-                f = m[r][col] / lead
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        top = m[rank]
+        lead = top[col]
+        rest = []
+        for row in m[rank + 1:]:
+            f = row[col]
+            if f or lead != prev:
+                row = [(lead * x - f * y) // prev for x, y in zip(row, top)]
+            if any(row):  # a zero row stays zero; drop it
+                rest.append(row)
+        m[rank + 1:] = rest
+        prev = lead
         rank += 1
-        if rank == rows:
-            break
     return rank
 
 

@@ -117,7 +117,15 @@ class JordanProfile:
 
 @dataclass(frozen=True)
 class PrimeOrderAction:
-    """Matrix phi with phi^p = identity, optionally preserving a Gram matrix."""
+    """Matrix phi with phi^p = identity, optionally preserving a Gram matrix.
+
+    Construction checks phi^p = I exactly over Z.  The power is taken by
+    repeated squaring (floor(log2 p) squarings and popcount(p) - 1 further
+    products), each product built from row combinations that skip zero
+    entries, so sparse actions such as symmetric squares of block-diagonal
+    ones are cheap to check.  A given Gram matrix G must satisfy
+    phi^T G phi = G.
+    """
 
     p: int
     phi: tuple[tuple[int, ...], ...]
@@ -131,11 +139,8 @@ class PrimeOrderAction:
         n = len(phi)
         if any(len(r) != n for r in phi):
             raise NotAnOrderPAction("phi must be square")
-        power = la.identity(n)
         mat = [list(r) for r in phi]
-        for _ in range(self.p):
-            power = la.mat_mul(power, mat)
-        if power != la.identity(n):
+        if la.mat_pow(mat, self.p) != la.identity(n):
             raise NotAnOrderPAction("phi^p is not the identity")
         if self.gram is not None:
             g = _freeze(self.gram)
@@ -171,20 +176,27 @@ class PrimeOrderAction:
 
 
 def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
-    """Block counts over F_p via l_q = r_(q-1) - 2 r_q + r_(q+1), r_j = rank tau^j."""
+    """Block counts over F_p via l_q = r_(q-1) - 2 r_q + r_(q+1), r_j = rank tau^j.
+
+    The ranks r_j come from the image chain of tau = phi - 1 mod p
+    (``image_ranks_mod_p``): each image is the previous echelon basis
+    times tau, echelonised again, so no power of tau is formed over Z.
+    For p = 2 the eigenlattice split needs the ranks of phi -+ 1 over Q,
+    taken by fraction-free elimination (``rank_rational``).  The identities
+    r_p = 0, l_q >= 0, sum q l_q = n and the split summing to l_1 are
+    checked and raise GModuleError when they fail.
+    """
     p, n = action.p, action.rank
-    tau = action.tau()
-    ranks = [n]
-    power = la.identity(n)
-    for _ in range(p + 1):
-        power = la.mat_mul(power, tau)
-        ranks.append(la.rank_mod_p(power, p))
-    assert ranks[p] == 0, "tau^p must vanish mod p"
+    ranks = la.image_ranks_mod_p(action.tau(), p, p + 1)
+    if ranks[p] != 0:
+        raise GModuleError("tau^p must vanish mod p")
     blocks = [0] * (p + 1)
     for q in range(1, p + 1):
         blocks[q] = ranks[q - 1] - 2 * ranks[q] + ranks[q + 1]
-    assert all(b >= 0 for b in blocks)
-    assert sum(q * blocks[q] for q in range(1, p + 1)) == n
+    if any(b < 0 for b in blocks):
+        raise GModuleError(f"negative Jordan block count from ranks {ranks}")
+    if sum(q * blocks[q] for q in range(1, p + 1)) != n:
+        raise GModuleError(f"Jordan blocks {blocks} do not add up to rank {n}")
     plus = minus = None
     if p == 2:
         phi = action.phi_rows()
@@ -194,7 +206,10 @@ def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
         )
         plus = ker_plus - blocks[2]
         minus = ker_minus - blocks[2]
-        assert plus >= 0 and minus >= 0 and plus + minus == blocks[1]
+        if plus < 0 or minus < 0 or plus + minus != blocks[1]:
+            raise GModuleError(
+                f"eigenlattice ranks (+{plus}, -{minus}) do not split l_1 = {blocks[1]}"
+            )
     return JordanProfile(p=p, blocks=tuple(blocks), plus_rank=plus, minus_rank=minus)
 
 
@@ -231,7 +246,8 @@ def a_invariant(action: PrimeOrderAction) -> int:
         idx //= p
         a += 1
     profile = jordan_profile(action)
-    assert a == profile.lp, (a, profile.lp)
+    if a != profile.lp:
+        raise GModuleError(f"a-invariant {a} disagrees with l_p = {profile.lp}")
     return a
 
 
@@ -448,15 +464,14 @@ def sym2_action(action: PrimeOrderAction) -> PrimeOrderAction:
     index = {pair: k for k, pair in enumerate(pairs)}
     size = len(pairs)
     out = [[0] * size for _ in range(size)]
+    # nonzero entries of each column of phi
+    cols = [[(a, phi[a][i]) for a in range(n) if phi[a][i]] for i in range(n)]
     for col, (i, j) in enumerate(pairs):
         # phi(e_i . e_j) = sum_{a<=b} coeff e_a.e_b
-        for a in range(n):
-            for b in range(n):
-                coeff = phi[a][i] * phi[b][j]
-                if coeff == 0:
-                    continue
+        for a, x in cols[i]:
+            for b, y in cols[j]:
                 key = (a, b) if a <= b else (b, a)
-                out[index[key]][col] += coeff
+                out[index[key]][col] += x * y
     return PrimeOrderAction(p=action.p, phi=_freeze(out))
 
 
@@ -483,8 +498,7 @@ def sym2_profile(profile: JordanProfile) -> JordanProfile:
         out = JordanProfile(
             p=2, blocks=tuple(blocks), plus_rank=new_plus, minus_rank=new_minus
         )
-        n = profile.rank
-        assert out.rank == n * (n + 1) // 2, "Sym^2 rank mismatch"
+        _check_sym2_rank(profile, out)
         return out
     new = [0] * (p + 1)
     new[1] = l1 * (l1 + 1) // 2 + lq * (lq - 1) // 2
@@ -499,9 +513,14 @@ def sym2_profile(profile: JordanProfile) -> JordanProfile:
         + (p - 2) * lq * (lq - 1) // 2
     )
     out = JordanProfile(p=p, blocks=tuple(new))
-    n = profile.rank
-    assert out.rank == n * (n + 1) // 2, "Sym^2 rank mismatch"
+    _check_sym2_rank(profile, out)
     return out
+
+
+def _check_sym2_rank(profile: JordanProfile, out: JordanProfile) -> None:
+    n = profile.rank
+    if out.rank != n * (n + 1) // 2:
+        raise GModuleError(f"Sym^2 rank mismatch: {out.rank} != {n * (n + 1) // 2}")
 
 
 def conjugate(action: PrimeOrderAction, unimodular) -> PrimeOrderAction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from sympy import GF, Matrix
+from sympy import GF, Matrix, Rational
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
@@ -54,6 +54,75 @@ def rank_mod_p(rows, p: int) -> int:
         [[int(x) % p for x in row] for row in rows], dom
     )
     return mat.rank()
+
+
+def rank_rational(rows) -> int:
+    """Rank over Q via sympy; entries may be ints or Fractions."""
+    return Matrix(
+        [[Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    ).rank()
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fractions (the former library route)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _dense_mul(a, b) -> list[list[int]]:
+    n, k = len(b[0]), len(b)
+    return [[sum(row[t] * b[t][j] for t in range(k)) for j in range(n)] for row in a]
+
+
+def power_ranks_mod_p(tau, p: int, steps: int) -> list[int]:
+    """[rank tau^0, ..., rank tau^steps] over F_p from dense integer powers.
+
+    The former library route: every power tau^j is formed over Z and its
+    rank taken (here by sympy over GF(p)).
+    """
+    n = len(tau)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    ranks = [n]
+    for _ in range(steps):
+        power = _dense_mul(power, tau)
+        ranks.append(rank_mod_p(power, p))
+    return ranks
+
+
+def has_order_dividing(phi, p: int) -> bool:
+    """phi^p == identity, by p dense products starting from the identity."""
+    n = len(phi)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = ident
+    for _ in range(p):
+        power = _dense_mul(power, phi)
+    return power == ident
+
+
+def companion(coeffs) -> list[list[int]]:
+    """Companion matrix of the monic x^d + c_(d-1) x^(d-1) + ... + c_0.
+
+    coeffs = [c_0, ..., c_(d-1)]; the matrix shifts e_i to e_(i+1) and sends
+    e_(d-1) to -(c_0, ..., c_(d-1)), so its order is that of x mod the
+    polynomial.
+    """
+    d = len(coeffs)
+    m = [[0] * d for _ in range(d)]
+    for i in range(1, d):
+        m[i][i - 1] = 1
+    for i in range(d):
+        m[i][d - 1] = -coeffs[i]
+    return m
 
 
 def sym2_matrix(tau, n: int) -> list[list[int]]:

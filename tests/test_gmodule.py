@@ -1,12 +1,16 @@
 """Order-p actions: Jordan profiles, symmetric squares, group cohomology."""
 
+import ast
+import inspect
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from quotlat import _linalg as la
+from quotlat import gmodule
 from quotlat import (
     CohomologyProfile,
     JordanProfile,
@@ -22,6 +26,7 @@ from quotlat import (
     sym2_profile,
 )
 from quotlat.gmodule import (
+    SUPPORTED_PRIMES,
     GModuleError,
     NotAnOrderPAction,
     UnsupportedPrime,
@@ -110,6 +115,94 @@ def test_phi_must_have_order_p():
         PrimeOrderAction(p=3, phi=((2, 0), (0, 1)))
 
 
+def as_action(p, rows):
+    return PrimeOrderAction(p=p, phi=tuple(tuple(r) for r in rows))
+
+
+def test_order_check_rejects_other_orders():
+    minus_one = [[-1 if i == j else 0 for j in range(3)] for i in range(3)]
+    with pytest.raises(NotAnOrderPAction):
+        as_action(3, minus_one)  # order 2
+    phi9 = oracles.companion([1, 0, 0, 1, 0, 0])  # x^6 + x^3 + 1, order 9
+    assert not oracles.has_order_dividing(phi9, 3)
+    assert oracles.has_order_dividing(la.mat_mul(la.mat_mul(phi9, phi9), phi9), 3)
+    with pytest.raises(NotAnOrderPAction):
+        as_action(3, phi9)
+    for p in SUPPORTED_PRIMES:
+        assert as_action(p, la.identity(4)).rank == 4
+        if p == 2:
+            assert as_action(p, minus_one).rank == 3
+        else:
+            with pytest.raises(NotAnOrderPAction):
+                as_action(p, minus_one)
+
+
+@given(st.sampled_from(SUPPORTED_PRIMES), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_order_check_matches_dense_powers(p, seed):
+    """Accepted exactly when p dense products give the identity."""
+    rng = Random(seed)
+    act = reiner_action(p, random_counts(rng, p, max_rank=p + 3))
+    phi = conjugate(act, oracles.random_unimodular(rng, act.rank, steps=4)).phi_rows()
+    if seed % 3:
+        # a unit entry added to an order-p matrix usually breaks the order
+        i, j = rng.randrange(len(phi)), rng.randrange(len(phi))
+        phi[i][j] += rng.choice((-1, 1))
+    if oracles.has_order_dividing(phi, p):
+        assert as_action(p, phi).rank == len(phi)
+    else:
+        with pytest.raises(NotAnOrderPAction):
+            as_action(p, phi)
+
+
+@given(st.sampled_from(SUPPORTED_PRIMES), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_image_chain_ranks_match_dense_powers(p, seed, conjugated):
+    rng = Random(seed)
+    act = reiner_action(p, random_counts(rng, p, max_rank=p + 4))
+    if conjugated:
+        act = conjugate(act, oracles.random_unimodular(rng, act.rank))
+    tau = act.tau()
+    assert la.image_ranks_mod_p(tau, p, p + 1) == oracles.power_ranks_mod_p(tau, p, p + 1)
+    assert la.rank_mod_p(tau, p) == oracles.rank_mod_p(tau, p)
+
+
+# ---------------------------------------------------------------- invariant checks
+
+
+def test_gmodule_has_no_asserts():
+    """Invariant checks raise GModuleError, so they also run under python -O."""
+    tree = ast.parse(inspect.getsource(gmodule))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        ([2, 1, 1, 1, 0], "vanish"),  # r_p != 0
+        ([2, 0, 1, 0, 0], "negative Jordan block count"),  # l_2 = -2
+        ([3, 1, 0, 0, 0], "do not add up"),  # r_0 is not the rank
+    ],
+)
+def test_jordan_profile_raises_on_broken_ranks(monkeypatch, ranks, message):
+    monkeypatch.setattr(la, "image_ranks_mod_p", lambda tau, p, steps: ranks)
+    with pytest.raises(GModuleError, match=message):
+        jordan_profile(reiner_action(3, (0, 1, 0)))
+
+
+def test_jordan_profile_raises_on_broken_eigensplit(monkeypatch):
+    monkeypatch.setattr(la, "rank_rational", lambda rows: 0)
+    with pytest.raises(GModuleError, match="eigenlattice"):
+        jordan_profile(PrimeOrderAction(p=2, phi=((0, 1), (1, 0))))
+
+
+def test_a_invariant_raises_on_profile_disagreement(monkeypatch):
+    act = reiner_action(3, (1, 0, 1))
+    monkeypatch.setattr(gmodule, "jordan_profile", lambda action: JordanProfile(3, (0, 4, 0, 0)))
+    with pytest.raises(GModuleError, match="a-invariant"):
+        a_invariant(act)
+
+
 # ---------------------------------------------------------------- sym2
 
 
@@ -144,16 +237,47 @@ def test_sym2_profile_rejects_middle_blocks():
         sym2_profile(JordanProfile(7, (0, 1, 0, 1, 0, 0, 0, 0)))
 
 
-@given(st.integers(0, 10**6))
+@given(st.sampled_from(SUPPORTED_PRIMES), st.integers(0, 10**6))
+@example(2, 1)
+@example(3, 1)
+@example(5, 1)
+@example(7, 1)
+@example(11, 1)
+@example(13, 1)
+@example(17, 1)
+@example(19, 1)
 @settings(max_examples=30, deadline=None)
-def test_sym2_profile_agrees_with_direct_computation(seed):
+def test_sym2_profile_agrees_with_direct_computation(p, seed):
+    """Direct Sym^2 profile equals the closed form, p = 2 eigen-split included."""
     rng = Random(seed)
-    p = rng.choice([3, 5])
-    act = reiner_action(p, random_counts(rng, p, max_rank=7))
+    act = reiner_action(p, random_counts(rng, p, max_rank=max(7, p + 2)))
     if seed % 2:
         act = conjugate(act, oracles.random_unimodular(rng, act.rank, steps=5))
     direct = jordan_profile(sym2_action(act))
-    assert direct.blocks == sym2_profile(jordan_profile(act)).blocks
+    assert direct == sym2_profile(jordan_profile(act))
+
+
+# (trivial, cyclotomic, glued) block counts of total rank 22, the rank of H^2 of a K3
+K3_SIZED_COUNTS = {
+    2: (4, 6, 6),
+    3: (2, 4, 4),
+    5: (4, 2, 2),
+    7: (2, 1, 2),
+    11: (1, 1, 1),
+    13: (9, 0, 1),
+    17: (6, 1, 0),
+    19: (3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_sym2_profile_direct_on_k3_sized_actions(p):
+    act = reiner_action(p, K3_SIZED_COUNTS[p])
+    assert act.rank == 22
+    base = jordan_profile(act)
+    direct = jordan_profile(sym2_action(act))
+    assert direct.rank == 253
+    assert direct == sym2_profile(base)
 
 
 # ---------------------------------------------------------------- cohomology
@@ -201,7 +325,6 @@ def test_k3_order5_action_profile():
 
 
 def test_k3_order5_symmetric_square_profile():
-    # rank 253 direct computation; the slowest single check in the suite
     act = k3_order5_action()
     direct = jordan_profile(sym2_action(act))
     assert direct.blocks == (0, 3, 0, 0, 0, 50)
