@@ -1,9 +1,14 @@
 """Exact integer and rational linear algebra helpers.
 
 Everything here operates on plain ``list[list[int]]`` (or ``Fraction``)
-matrices and never touches floating point.  The Smith normal form keeps the
-full transform quadruple (U, Uinv, V, Vinv) so callers can read off kernels,
-image lattices and saturations directly from unimodular coordinates.
+matrices and never touches floating point.  Elimination over Q has one
+fraction-free core, ``echelon_fraction_free``; ``det_bareiss``,
+``rank_rational``, ``inv_rational`` and ``solve_in_rowspan`` wrap it.
+Elimination over F_p has one core, ``echelon_mod_p``, behind
+``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``.  The
+Smith normal form keeps the full transform quadruple (U, Uinv, V, Vinv)
+so callers can read off kernels, image lattices and saturations directly
+from unimodular coordinates.
 """
 
 from __future__ import annotations
@@ -37,20 +42,8 @@ def mat_mul(a, b) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(a, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def vec_mat(v, a) -> list:
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
-
-
-def scalar_mul(c, a) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
 
 
 def is_symmetric(a) -> bool:
@@ -58,30 +51,6 @@ def is_symmetric(a) -> bool:
     return all(len(row) == n for row in a) and all(
         a[i][j] == a[j][i] for i in range(n) for j in range(n)
     )
-
-
-def det_bareiss(a) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _nonzeros(row) -> list[tuple[int, int]]:
@@ -192,32 +161,55 @@ def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
     return ranks + [0] * (steps + 1 - len(ranks))
 
 
+def left_kernel_mod_p(a, p: int) -> list[list[int]]:
+    """Basis of {x : x A = 0} over F_p for a square A, entries in [0, p).
+
+    The right halves of the ``echelon_mod_p`` rows of [A | I] whose left
+    half is zero; for symmetric A this is ker(A mod p).
+    """
+    n = len(a)
+    echelon = echelon_mod_p(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], p
+    )
+    return [row[n:] for row in echelon if not any(row[:n])]
+
+
 def _integral_row(row) -> list[int]:
     """Scale a row of ints and Fractions to integers by the lcm of its denominators."""
-    d = lcm(*(x.denominator for x in row))
+    d = 1
+    for x in row:  # pairwise: an argument tuple per row raised peak RSS
+        d = lcm(d, x.denominator)
     return [x.numerator * (d // x.denominator) for x in row]
 
 
-def rank_rational(a) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
+def echelon_fraction_free(a) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) forward elimination over Q.
 
     Accepts integer or ``Fraction`` entries; each row is first scaled to
-    integers by the lcm of its denominators, which keeps the rank.  After k
-    pivots every remaining entry is a (k+1)-minor of the input, so the
-    division by the previous pivot is exact and entries stay bounded by
-    Hadamard's inequality.
+    integers by the lcm of its denominators, which keeps its row space.
+    Returns (rows, pivots, sign): the nonzero echelon rows as integers,
+    row k leading at column pivots[k], and the sign of the row swaps made.
+    After k pivots every remaining entry is a (k+1)-minor of the scaled
+    input, so the division by the previous pivot is exact, entries stay
+    bounded by Hadamard's inequality, and the last pivot of a nonsingular
+    square integer matrix is sign * det.  Zero rows are dropped and rows a
+    step leaves unchanged are skipped.
     """
     m = [r for r in map(_integral_row, a) if any(r)]
     cols = len(m[0]) if m else 0
-    rank = 0
+    pivots: list[int] = []
+    sign = 1
     prev = 1
     for col in range(cols):
+        rank = len(pivots)
         if rank == len(m):
             break
         piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         top = m[rank]
         lead = top[col]
         rest = []
@@ -229,81 +221,67 @@ def rank_rational(a) -> int:
                 rest.append(row)
         m[rank + 1:] = rest
         prev = lead
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots, sign
+
+
+def _back_substitute(rows, k: int) -> list[list[Fraction]]:
+    """X with T X = R for echelon rows [T | R] whose T is k x k upper triangular."""
+    x: list[list[Fraction]] = [[]] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        acc = [Fraction(v) for v in row[k:]]
+        for j in range(i + 1, k):
+            if row[j]:
+                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
+        x[i] = [s / row[i] for s in acc]
+    return x
+
+
+def det_bareiss(a) -> int:
+    """Exact determinant of a square integer matrix: sign times the last pivot."""
+    rows, pivots, sign = echelon_fraction_free(a)
+    if len(pivots) < len(a):
+        return 0
+    return sign * rows[-1][-1] if rows else 1
+
+
+def rank_rational(a) -> int:
+    """Rank over Q of an integer or ``Fraction`` matrix: its number of pivots."""
+    return len(echelon_fraction_free(a)[1])
 
 
 def inv_rational(a) -> list[list[Fraction]]:
-    """Exact inverse over Q.  Raises ZeroDivisionError on singular input."""
+    """Exact inverse over Q of an integer or ``Fraction`` matrix.
+
+    Eliminates [A | I] and back-substitutes.  Raises ZeroDivisionError on
+    singular input.
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [x / lead for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    rows, pivots, _ = echelon_fraction_free(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    )
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return _back_substitute(rows, n)
 
 
 def solve_in_rowspan(basis, vec) -> list[Fraction] | None:
     """Coordinates c with c * basis == vec, or None if vec is outside the span.
 
-    basis rows must be linearly independent.
+    Eliminates [basis^T | vec^T]: a pivot in the last column puts vec
+    outside the span.  basis rows must be linearly independent, else
+    ValueError.
     """
     k = len(basis)
-    if k == 0:
-        return [] if all(x == 0 for x in vec) else None
-    n = len(basis[0])
-    # Solve the k x k system on an independent column subset, then verify.
-    cols: list[int] = []
-    m = [[Fraction(basis[r][c]) for c in range(n)] for r in range(k)]
-    # pick pivot columns by elimination
-    work = [row[:] for row in m]
-    row_i = 0
-    for c in range(n):
-        piv = next((r for r in range(row_i, k) if work[r][c]), None)
-        if piv is None:
-            continue
-        work[row_i], work[piv] = work[piv], work[row_i]
-        lead = work[row_i][c]
-        for r in range(k):
-            if r != row_i and work[r][c]:
-                f = work[r][c] / lead
-                work[r] = [x - f * y for x, y in zip(work[r], work[row_i])]
-        cols.append(c)
-        row_i += 1
-        if row_i == k:
-            break
-    if len(cols) < k:
+    rows, pivots, _ = echelon_fraction_free(
+        [[b[c] for b in basis] + [x] for c, x in enumerate(vec)]
+    )
+    if pivots[:k] != list(range(k)):
         raise ValueError("basis rows are dependent")
-    # solve c * basis[:, cols] = vec[cols]
-    sq = [[m[r][c] for r in range(k)] for c in cols]  # k x k, one row per pivot column
-    rhs = [Fraction(vec[c]) for c in cols]
-    aug = [sq[i] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("basis rows are dependent")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    coeffs = [aug[i][k] for i in range(k)]
-    # verify on all columns
-    for c in range(n):
-        if sum(coeffs[r] * m[r][c] for r in range(k)) != vec[c]:
-            return None
-    return coeffs
+    if len(pivots) > k:
+        return None
+    return [x[0] for x in _back_substitute(rows, k)]
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _linalg as la
-from .lattice_core import GramLattice, SublatticeEmbedding, _freeze, sublattice
+from .lattice_core import GramLattice, SublatticeEmbedding, _freeze, direct_sum, sublattice
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -370,18 +370,9 @@ def reiner_action(p: int, counts: tuple[int, int, int], glue_classes=None) -> Pr
         raise GModuleError("need one glue class per glued block")
     for a in glue_classes:
         blocks.append(reiner_block(p, "glued", a))
-    total = sum(len(b) for b in blocks)
-    phi = [[0] * total for _ in range(total)]
-    off = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                phi[off + i][off + j] = b[i][j]
-        off += k
-    if total == 0:
+    if not blocks:
         raise GModuleError("empty action")
-    return PrimeOrderAction(p=p, phi=_freeze(phi))
+    return PrimeOrderAction(p=p, phi=direct_sum(blocks))
 
 
 def k3_order5_action() -> PrimeOrderAction:
@@ -396,7 +387,7 @@ def k3_order5_action() -> PrimeOrderAction:
     """
     from fractions import Fraction
 
-    from .lattice_core import ATOM_GRAMS, direct_sum, rescale
+    from .lattice_core import ATOM_GRAMS, rescale
 
     u = ATOM_GRAMS["U"]
     u5 = tuple(tuple(5 * x for x in row) for row in u)

@@ -38,6 +38,10 @@ class NonIntegralResult(LatticeError):
     pass
 
 
+class IndexLawError(LatticeError):
+    """An overlattice index or determinant breaks its p-power law."""
+
+
 class NotDefinite(LatticeError):
     pass
 
@@ -143,7 +147,8 @@ def invariant_summary(lattice: GramLattice) -> LatticeInvariants:
     if det == 0:
         raise DegenerateForm("Gram matrix is degenerate")
     pos, neg, zero = la.signature_exact(lattice.gram_rows())
-    assert zero == 0
+    if zero:
+        raise DegenerateForm(f"nonzero determinant but {zero} zero eigenvalues")
     return LatticeInvariants(
         rank=lattice.rank,
         determinant=det,
@@ -191,12 +196,23 @@ def sublattice(lattice: GramLattice, rows) -> SublatticeEmbedding:
     )
 
 
+def _p_power_log(value: int, p: int) -> int | None:
+    """e with value == p^e, or None if value is not a power of p."""
+    if value < 1:
+        return None
+    e = 0
+    while value % p == 0:
+        value //= p
+        e += 1
+    return e if value == 1 else None
+
+
 def overlattice_divide(lattice: GramLattice, vectors, p: int) -> GramLattice:
     """Overlattice generated by L and v/p for each glue vector v.
 
     Every v must satisfy v/p in L^vee (all pairings with L divisible by p).
     The result must again be an integral lattice; with m independent adjoined
-    classes, discr(out) * p^(2m) = discr(L), which is asserted.
+    classes, discr(out) * p^(2m) = discr(L), which is checked (IndexLawError).
     """
     n = lattice.rank
     g = lattice.gram_rows()
@@ -225,15 +241,14 @@ def overlattice_divide(lattice: GramLattice, vectors, p: int) -> GramLattice:
     # index of the overlattice over L is p^n / |det basis|
     idx_num = p**n
     db = abs(la.det_bareiss(basis))
-    assert idx_num % db == 0
-    index = idx_num // db
-    m = 0
-    while index > 1:
-        assert index % p == 0, "overlattice index is not a p-power"
-        index //= p
-        m += 1
+    if idx_num % db:
+        raise IndexLawError(f"|det| {db} of the glued basis does not divide p^n")
+    m = _p_power_log(idx_num // db, p)
+    if m is None:
+        raise IndexLawError("overlattice index is not a p-power")
     out_lattice = GramLattice(_freeze(out))
-    assert out_lattice.determinant * p ** (2 * m) == lattice.determinant
+    if out_lattice.determinant * p ** (2 * m) != lattice.determinant:
+        raise IndexLawError("discr(out) * p^(2m) differs from discr(L)")
     return out_lattice
 
 

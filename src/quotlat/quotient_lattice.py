@@ -24,6 +24,7 @@ from .lattice_core import (
     LatticeError,
     NotDefinite,
     NotInDual,
+    _p_power_log,
     binary_reduce,
     discriminant_group,
     dual_rescaled,
@@ -112,16 +113,6 @@ class QuotientResult:
     index_log: int
 
 
-def _p_power_log(value: int, p: int) -> int | None:
-    if value < 1:
-        return None
-    e = 0
-    while value % p == 0:
-        value //= p
-        e += 1
-    return e if value == 1 else None
-
-
 def quotient_middle_lattice(lattice: GramLattice, p: int) -> GramLattice:
     """Middle cohomology of the quotient: L^vee(p) of the invariant lattice.
 
@@ -205,33 +196,6 @@ def bb_quotient(lattice: GramLattice, p: int, glue: GlueSpec) -> QuotientResult:
     )
 
 
-def _kernel_mod_p(g, p: int) -> list[list[int]]:
-    """Basis of ker(G mod p) over F_p, lifted to integer vectors in [0, p)."""
-    n = len(g)
-    rows = [[x % p for x in row] for row in g]
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        row = row[:]
-        for col, prow in pivots.items():
-            if row[col]:
-                f = row[col]
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], p - 2, p) if p > 2 else row[lead]
-        pivots[lead] = [(a * inv) % p for a in row]
-    free = [j for j in range(n) if j not in pivots]
-    kernel = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for col, prow in pivots.items():
-            v[col] = (-prow[j]) % p
-        kernel.append(v)
-    return kernel
-
-
 def find_glue(lattice: GramLattice, p: int) -> GlueSpec:
     """Glue recipe dividing the whole p-part of the discriminant group.
 
@@ -243,7 +207,7 @@ def find_glue(lattice: GramLattice, p: int) -> GlueSpec:
         raise LatticeError(f"{p} is not prime")
     n = lattice.rank
     g = lattice.gram_rows()
-    stacked = _kernel_mod_p(g, p) + [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    stacked = la.left_kernel_mod_p(g, p) + [[p if i == j else 0 for j in range(n)] for i in range(n)]
     basis = la.row_span_basis(stacked)
     return GlueSpec(tuple(tuple(r) for r in basis), (True,) * n)
 

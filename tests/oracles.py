@@ -210,3 +210,112 @@ def functional_sublattice(rng: Random, ambient, p: int):
     sub = bm * gm * bm.T
     sub_rows = [[int(sub[r, c]) for c in range(n)] for r in range(n)]
     return sub_rows, x
+
+
+def inverse(rows) -> list[list[Fraction]]:
+    """Inverse over Q via sympy; entries may be ints or Fractions."""
+    inv = Matrix(
+        [[Rational(x.numerator, x.denominator) for x in map(Fraction, row)] for row in rows]
+    ).inv()
+    return [[Fraction(int(x.p), int(x.q)) for x in inv.row(i)] for i in range(inv.rows)]
+
+
+def solve_in_rowspan(basis, vec) -> list[Fraction] | None:
+    """c with c * basis == vec via sympy's Gauss-Jordan solver, or None.
+
+    basis must be nonempty with independent rows.
+    """
+    try:
+        sol, _ = Matrix([list(r) for r in basis]).T.gauss_jordan_solve(Matrix(list(vec)))
+    except ValueError:
+        return None
+    return [Fraction(int(x.p), int(x.q)) for x in sol]
+
+
+# The former library routines, kept as reference implementations: a
+# determinant by Bareiss elimination on the trailing submatrix, and
+# Gauss-Jordan passes over Fractions for the inverse and the row-span solve.
+
+
+def bareiss_det(a) -> int:
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def fraction_inverse(a) -> list[list[Fraction]]:
+    """Raises ZeroDivisionError on singular input."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [x / lead for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def fraction_solve_in_rowspan(basis, vec) -> list[Fraction] | None:
+    """Raises ValueError on dependent basis rows."""
+    k = len(basis)
+    if k == 0:
+        return [] if all(x == 0 for x in vec) else None
+    n = len(basis[0])
+    m = [[Fraction(basis[r][c]) for c in range(n)] for r in range(k)]
+    # pivot columns by elimination on a copy
+    work = [row[:] for row in m]
+    cols: list[int] = []
+    for c in range(n):
+        piv = next((r for r in range(len(cols), k) if work[r][c]), None)
+        if piv is None:
+            continue
+        row_i = len(cols)
+        work[row_i], work[piv] = work[piv], work[row_i]
+        for r in range(k):
+            if r != row_i and work[r][c]:
+                f = work[r][c] / work[row_i][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[row_i])]
+        cols.append(c)
+        if len(cols) == k:
+            break
+    if len(cols) < k:
+        raise ValueError("basis rows are dependent")
+    # solve c * basis[:, cols] = vec[cols], then check every column
+    aug = [[m[r][c] for r in range(k)] + [Fraction(vec[c])] for c in cols]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    coeffs = [aug[i][k] for i in range(k)]
+    for c in range(n):
+        if sum(coeffs[r] * m[r][c] for r in range(k)) != vec[c]:
+            return None
+    return coeffs

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from quotlat import _linalg as la
-from quotlat import gmodule
+from quotlat import gmodule, lattice_core
 from quotlat import (
     CohomologyProfile,
     JordanProfile,
@@ -170,10 +170,19 @@ def test_image_chain_ranks_match_dense_powers(p, seed, conjugated):
 # ---------------------------------------------------------------- invariant checks
 
 
+def assert_lines(module) -> list[int]:
+    tree = ast.parse(inspect.getsource(module))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 def test_gmodule_has_no_asserts():
     """Invariant checks raise GModuleError, so they also run under python -O."""
-    tree = ast.parse(inspect.getsource(gmodule))
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not assert_lines(gmodule)
+
+
+def test_lattice_core_has_no_asserts():
+    """Invariant checks raise LatticeError subclasses, also under python -O."""
+    assert not assert_lines(lattice_core)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,10 @@ from quotlat import (
     smith_normal_form,
     sublattice,
 )
+from quotlat import _linalg as la
 from quotlat.lattice_core import (
+    DegenerateForm,
+    IndexLawError,
     LatticeError,
     NonIntegralResult,
     NotDefinite,
@@ -174,6 +177,25 @@ def test_overlattice_divide_rejects_nonintegral_result():
     # e1/2 lies in the dual of diag(2, 2) but has self-pairing 1/2
     with pytest.raises(NonIntegralResult):
         overlattice_divide(GramLattice(((2, 0), (0, 2))), [(1, 0)], 2)
+
+
+def test_invariant_summary_raises_on_zero_inertia(monkeypatch):
+    monkeypatch.setattr(la, "signature_exact", lambda rows: (1, 0, 1))
+    with pytest.raises(DegenerateForm, match="zero eigenvalues"):
+        invariant_summary(parse_lattice_expr("U"))
+
+
+@pytest.mark.parametrize(
+    "p, fake_det, message",
+    [(2, 3, "does not divide"), (4, 8, "not a p-power"), (2, 1, "discr")],
+)
+def test_overlattice_divide_raises_on_broken_index_laws(monkeypatch, p, fake_det, message):
+    # the honest basis of pL + Z(p/2, p/2) has |det| p^2 / 2
+    basis = la.row_span_basis([[p, 0], [0, p], [p // 2, p // 2]])
+    real = la.det_bareiss
+    monkeypatch.setattr(la, "det_bareiss", lambda rows: fake_det if rows == basis else real(rows))
+    with pytest.raises(IndexLawError, match=message):
+        overlattice_divide(GramLattice(((4, 0), (0, 4))), [(p // 2, p // 2)], p)
 
 
 def test_binary_reduce_frozen():

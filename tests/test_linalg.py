@@ -1,8 +1,9 @@
-"""Rank kernels of the exact linear algebra core against sympy."""
+"""The exact linear algebra core against sympy and the former library routines."""
 
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,118 @@ def test_mat_pow_matches_repeated_products(seed, e):
         want = la.mat_mul(want, a)
     assert la.mat_pow(a, e) == want
     assert la.mat_mul_sparse(a, a) == la.mat_mul(a, a)
+
+
+# ------------------------------------------- wrappers of the fraction-free core
+
+
+def square_matrix(rng, n, spread=4):
+    """n x n integer matrix of rank n or (for n > 1) n - 1, sometimes sparse."""
+    m = low_rank_matrix(rng, n, n, max(n - rng.randint(0, 1), 1), spread)
+    if rng.random() < 0.3:
+        m = [[x if rng.random() < 0.5 else 0 for x in row] for row in m]
+    return m
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_det_bareiss_matches_sympy(seed):
+    rng = Random(seed)
+    m = square_matrix(rng, rng.randint(1, 9))
+    assert la.det_bareiss(m) == oracles.det(m) == oracles.bareiss_det(m)
+
+
+def test_det_bareiss_edge_cases():
+    assert la.det_bareiss([]) == 1
+    assert la.det_bareiss([[0]]) == 0
+    assert la.det_bareiss([[0, 1], [1, 0]]) == -1  # one row swap
+    assert la.det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert la.det_bareiss([[1, 2], [0, 0]]) == 0
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_inv_rational_matches_sympy(seed, fractions):
+    rng = Random(seed)
+    n = rng.randint(1, 7)
+    m = low_rank_matrix(rng, n, n, n)
+    if fractions:
+        m = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in m]
+    if oracles.rank_rational(m) < n:
+        with pytest.raises(ZeroDivisionError):
+            la.inv_rational(m)
+        with pytest.raises(ZeroDivisionError):
+            oracles.fraction_inverse(m)
+        return
+    inv = la.inv_rational(m)
+    assert inv == oracles.inverse(m) == oracles.fraction_inverse(m)
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
+
+
+@pytest.mark.parametrize("m", [[[0]], [[1, 2], [2, 4]], [[0, 1, 0], [0, 0, 1], [0, 2, 3]],
+                               [[Fraction(1, 2), 1], [1, 2]]])
+def test_inv_rational_rejects_singular(m):
+    with pytest.raises(ZeroDivisionError):
+        la.inv_rational(m)
+
+
+def test_inv_rational_edge_cases():
+    assert la.inv_rational([]) == []
+    assert la.inv_rational([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    assert la.inv_rational([[Fraction(2, 3)]]) == [[Fraction(3, 2)]]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(("integral", "rational", "outside")))
+@settings(max_examples=80, deadline=None)
+def test_solve_in_rowspan_matches_sympy(seed, case):
+    rng = Random(seed)
+    k = rng.randint(1, 5)
+    width = rng.randint(k + (case == "outside"), 8)
+    basis = low_rank_matrix(rng, k, width, k)
+    if oracles.rank_rational(basis) < k:
+        for solve in (la.solve_in_rowspan, oracles.fraction_solve_in_rowspan):
+            with pytest.raises(ValueError):
+                solve(basis, basis[0])
+        return
+    if case == "outside":
+        vec = [rng.randint(-5, 5) for _ in range(width)]
+    else:
+        den = 1 if case == "integral" else rng.randint(2, 5)
+        coeffs = [Fraction(rng.randint(-5, 5), den) for _ in range(k)]
+        vec = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(width)]
+    got = la.solve_in_rowspan(basis, vec)
+    assert got == oracles.solve_in_rowspan(basis, vec) == oracles.fraction_solve_in_rowspan(basis, vec)
+    if case != "outside":
+        assert got == coeffs
+        assert all(isinstance(x, Fraction) for x in got)
+
+
+def test_solve_in_rowspan_edge_cases():
+    # empty basis: only the zero vector is in the span
+    assert la.solve_in_rowspan([], [0, 0]) == []
+    assert la.solve_in_rowspan([], [0, 1]) is None
+    assert la.solve_in_rowspan([[1, 1, 0]], [1, 0, 0]) is None
+    assert la.solve_in_rowspan([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    # dependent rows raise even when the vector is in their span
+    for basis in ([[1, 2], [2, 4]], [[0, 0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError, match="dependent"):
+            la.solve_in_rowspan(basis, basis[0])
+        with pytest.raises(ValueError):
+            oracles.fraction_solve_in_rowspan(basis, basis[0])
+
+
+def test_left_kernel_mod_p_is_the_kernel():
+    """Every returned vector v has G v = 0 mod p and they span ker(G mod p)."""
+    rng = Random(2024)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(1, 8)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-p, p) if rng.random() < 0.6 else 0
+        kernel = la.left_kernel_mod_p(g, p)
+        assert all(x % p == 0 for v in kernel for x in la.vec_mat(v, g)), (g, p)
+        assert len(kernel) == n - oracles.rank_mod_p(g, p)
+        assert not kernel or oracles.rank_mod_p(kernel, p) == len(kernel)
+        assert all(0 <= x < p for v in kernel for x in v)

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 import oracles
+from quotlat import _linalg as la
 from quotlat import (
     GlueSpec,
     GramLattice,
@@ -44,6 +45,9 @@ def test_quotient_middle_lattice_needs_p_elementary():
 
 
 def test_bb_quotient_m3(by_name):
+    # The declared glue: in the invariant basis order U, U(3), U(3), A2, A2,
+    # (-2), the U(3) unit rows and the A2 combinations (e, -e'), (e, 2e')
+    # pair into 3Z with the whole lattice, so those eight rows are divided.
     s = by_name["M3"]
     res = bb_quotient(s.invariant, 3, s.resolved_glue())
     assert res.fujiki_constant == 9
@@ -79,6 +83,35 @@ def test_find_glue_reproduces_declared_quotient(by_name):
     assert auto.fujiki_constant == decl.fujiki_constant == 15
     assert auto.gram.determinant == decl.gram.determinant == 250
     assert lattices_match(auto.gram, decl.gram).passed
+
+
+def test_find_glue_survives_base_changes():
+    """find_glue's F_p kernel must pair into pZ in any basis of the lattice.
+
+    For G' = u G u^T the glue sublattice of G' is that of G times u^-1, so
+    with T and T' the two glue transforms, W = T' u T^-1 must be unimodular
+    and carry one quotient Gram to the other.  (lattices_match would also
+    compare the Gauss-reduced binary blocks of each presentation, which a
+    random base change breaks up.)
+    """
+    base = parse_lattice_expr("U(3) + A2 + U")
+    glue = find_glue(base, 3)
+    want = bb_quotient(base, 3, glue)
+    assert want.fujiki_constant == 9
+    t_inv = oracles.inverse(glue.transform)
+    rng = Random(11)
+    for _ in range(30):
+        u = oracles.random_unimodular(rng, base.rank)
+        gram = la.mat_mul(la.mat_mul(u, base.gram_rows()), la.transpose(u))
+        moved = GramLattice(tuple(tuple(r) for r in gram))
+        moved_glue = find_glue(moved, 3)
+        got = bb_quotient(moved, 3, moved_glue)
+        assert got.fujiki_constant == 9
+        w = la.mat_mul(la.mat_mul([list(r) for r in moved_glue.transform], u), t_inv)
+        assert all(x.denominator == 1 for row in w for x in row)
+        w = [[int(x) for x in row] for row in w]
+        assert abs(oracles.det(w)) == 1
+        assert la.mat_mul(la.mat_mul(w, want.gram.gram_rows()), la.transpose(w)) == got.gram.gram_rows()
 
 
 def test_glue_spec_validation():
