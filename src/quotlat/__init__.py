@@ -26,6 +26,7 @@ from .gmodule import (
     sym2_profile,
 )
 from .hilb2_ring import (
+    SIGMA,
     H2Class,
     H4Class,
     HilbertSquare,

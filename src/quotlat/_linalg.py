@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 Matrix = list[list[int]]
@@ -39,7 +40,7 @@ def transpose(a) -> Matrix:
 
 def mat_mul(a, b) -> Matrix:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def vec_mat(v, a) -> list:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .gmodule import GModuleError, PrimeOrderAction, jordan_profile
 from .hilb2_ring import (
+    SIGMA,
     H2Class,
     HilbertSquare,
     h2_primitivity_certificate,
@@ -274,19 +275,15 @@ def cmd_hilb2(args) -> int:
     print("Beauville-Bogomolov pairings:")
     bb = [[hilb.bb(x, y) for y in classes] for x in classes]
     print(_fmt_matrix(bb))
-    products = {}
-    for i, x in enumerate(classes):
-        for j in range(i, len(classes)):
-            prod = hilb.cup(x, classes[j])
-            products[(i, j)] = prod
-            print(f"{names[i]}.{names[j]} = {_fmt_h4(hilb, prod)}")
-    keys = sorted(products)
+    keys = [(i, j) for i in range(len(classes)) for j in range(i, len(classes))]
+    for i, j in keys:
+        print(f"{names[i]}.{names[j]} = {_fmt_h4(hilb, hilb.cup(classes[i], classes[j]))}")
     labels = [f"{names[i]}.{names[j]}" for i, j in keys] + ["sigma"]
-    h4 = [products[k] for k in keys] + [hilb.sigma()]
+    monomials = [(classes[i], classes[j]) for i, j in keys] + [SIGMA]
     print("top pairings of the products and sigma:")
     table = [[""] + labels]
-    for label, a in zip(labels, h4):
-        table.append([label] + [str(hilb.pair_h4(a, b)) for b in h4])
+    for label, a in zip(labels, monomials):
+        table.append([label] + [str(hilb.pair_monomials(a, b)) for b in monomials])
     for line in _aligned(table):
         print(line)
     if len(classes) == 2:

@@ -13,6 +13,11 @@ products H^2 x H^2 -> H^4 and H^4 x H^4 -> H^8 = Z in exact arithmetic,
 together with the automorphism action induced on H^4 by an isometry of
 H^2(S).  The top pairing of two products of four 2-classes follows the
 polarized Fujiki relation with constant 3.
+
+``HilbertSquare.pair_monomials`` pairs the H^4 monomials sigma and x.y
+(x, y in H^2) directly from that relation and the sigma pairing, in
+integer arithmetic.  The 276x276 Gram of ``h4_gram`` is needed only to
+pair arbitrary H^4 classes given in coordinates (``pair_h4``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .lattice_core import GramLattice
 
 FUJIKI_CONSTANT = 3
 DELTA_SQUARE = -2
+# the H^4 monomial sigma for HilbertSquare.pair_monomials; every other
+# monomial is a pair (x, y) of H2Class standing for the product x.y
+SIGMA = "sigma"
 
 
 @dataclass(frozen=True)
@@ -212,6 +220,19 @@ class HilbertSquare:
                 acc += xi * sum(self.gram[i][j] * y.gamma[j] for j in range(self.n))
         return acc
 
+    def pair_monomials(self, a, b) -> int:
+        """Top pairing of two H^4 monomials, each SIGMA or a pair (x, y).
+
+        sigma.sigma = 1, sigma.(x y) is the sigma pairing of x and y, and
+        (x1 x2).(x3 x4) is the polarized Fujiki relation.  This equals
+        ``pair_h4`` on ``sigma()`` and ``cup(x, y)`` without the H^4 Gram.
+        """
+        if a is SIGMA:
+            return 1 if b is SIGMA else self._sigma_pairing(*b)
+        if b is SIGMA:
+            return self._sigma_pairing(*a)
+        return self.fujiki_product(*a, *b)
+
     def _basis_expansions(self):
         """Each H^4 basis element as sigma-part plus 2-class products."""
         half = Fraction(1, 2)
@@ -356,18 +377,13 @@ def s_lattice_gram(hilb: HilbertSquare, u1: H2Class, u2: H2Class):
 
     u1, u2 should span a hyperbolic summand of H^2(S).  This sublattice
     controls the image of H^4 under an automorphism acting trivially on it.
+    Six generators are products of two 2-classes and the seventh is sigma,
+    so every entry comes from the polarized Fujiki relation or the sigma
+    pairing (``pair_monomials``); the 276x276 H^4 Gram is never built.
     """
     delta = hilb.delta
-    classes = [
-        hilb.cup(delta, delta),
-        hilb.cup(u1, u2),
-        hilb.sigma(),
-        hilb.cup(u1, u1),
-        hilb.cup(u2, u2),
-        hilb.cup(u1, delta),
-        hilb.cup(u2, delta),
-    ]
-    return [[hilb.pair_h4(a, b) for b in classes] for a in classes]
+    monomials = [(delta, delta), (u1, u2), SIGMA, (u1, u1), (u2, u2), (u1, delta), (u2, delta)]
+    return [[hilb.pair_monomials(a, b) for b in monomials] for a in monomials]
 
 
 def h2_primitivity_certificate(s_gram, p: int) -> tuple[bool, tuple[int, int, int] | None]:

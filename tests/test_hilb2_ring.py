@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 import oracles
 from quotlat import (
+    SIGMA,
     H2Class,
     HilbertSquare,
     h2_primitivity_certificate,
     parse_lattice_expr,
     s_lattice_gram,
 )
+from quotlat._linalg import det_bareiss
 
 S_GRAM = (
     (12, -2, -1, 0, 0, 0, 0),
@@ -83,6 +85,31 @@ def test_fujiki_polarization(hilb, seed):
     assert lhs == rhs
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_monomial_pairing_matches_h4_gram(hilb, seed):
+    # the direct route against the pairing of cup coordinates in the H^4 Gram
+    rng = Random(seed)
+
+    def rand_class():
+        coeffs = [0] * 22
+        for _ in range(3):
+            coeffs[rng.randrange(22)] = rng.randint(-3, 3)
+        return H2Class(tuple(coeffs), rng.choice((-2, -1, 1, 2)))
+
+    x, y, z, w = (rand_class() for _ in range(4))
+    xy, zw = hilb.cup(x, y), hilb.cup(z, w)
+    assert hilb.pair_monomials((x, y), (z, w)) == hilb.pair_h4(xy, zw)
+    assert hilb.pair_monomials(SIGMA, (x, y)) == hilb.pair_h4(hilb.sigma(), xy)
+    assert hilb.pair_monomials((z, w), SIGMA) == hilb.pair_h4(zw, hilb.sigma())
+    assert hilb.pair_monomials(SIGMA, SIGMA) == hilb.pair_h4(hilb.sigma(), hilb.sigma())
+
+
+def test_h4_gram_is_unimodular(hilb):
+    # Poincare duality on H^4 of the Hilbert square
+    assert abs(det_bareiss(hilb.h4_gram())) == 1
+
+
 def test_cup_is_symmetric_and_bilinear(hilb):
     rng = Random(12)
     for _ in range(10):
@@ -119,6 +146,13 @@ def test_s_lattice_gram_frozen(hilb):
     assert tuple(tuple(row) for row in s) == S_GRAM
     assert oracles.det(s) == 160
     assert 160 == 2**5 * 5
+
+
+def test_s_lattice_gram_builds_no_h4_gram():
+    fresh = HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2").gram_rows())
+    s = s_lattice_gram(fresh, fresh.gamma(0), fresh.gamma(1))
+    assert tuple(tuple(row) for row in s) == S_GRAM
+    assert fresh._h4_gram_cache is None
 
 
 def test_primitivity_certificate(hilb):

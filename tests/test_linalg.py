@@ -77,7 +77,9 @@ def test_mat_pow_matches_repeated_products(seed, e):
     for _ in range(e - 1):
         want = la.mat_mul(want, a)
     assert la.mat_pow(a, e) == want
-    assert la.mat_mul_sparse(a, a) == la.mat_mul(a, a)
+    m = rng.randint(1, 6)
+    b = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+    assert la.mat_mul_sparse(a, b) == la.mat_mul(a, b)
 
 
 # ------------------------------------------- wrappers of the fraction-free core
