@@ -221,15 +221,6 @@ def invariant_sublattice(action: PrimeOrderAction) -> SublatticeEmbedding:
     return sublattice(GramLattice(action.gram), rows)
 
 
-def invariant_rows(action: PrimeOrderAction) -> list[list[int]]:
-    return la.kernel_basis(action.tau())
-
-
-def sigma_kernel_rows(action: PrimeOrderAction) -> list[list[int]]:
-    """Saturated basis of ker(1 + phi + ... + phi^(p-1))."""
-    return la.kernel_basis(action.sigma())
-
-
 def a_invariant(action: PrimeOrderAction) -> int:
     """a with [Z^n : ker tau + ker sigma] = p^a; equals l_p for order-p actions."""
     p, n = action.p, action.rank
@@ -255,9 +246,6 @@ def a_invariant(action: PrimeOrderAction) -> int:
 class CohomologyGroup:
     free_rank: int
     torsion: tuple[int, ...]  # invariant factors > 1
-
-    def p_torsion_rank(self, p: int) -> int:
-        return sum(1 for d in self.torsion if d % p == 0)
 
 
 def _quotient_group(kernel_rows, image_rows) -> CohomologyGroup:
@@ -296,9 +284,9 @@ def group_cohomology(action: PrimeOrderAction, i: int) -> CohomologyGroup:
     if i < 0:
         raise GModuleError("cohomological degree must be nonnegative")
     tau = action.tau()
-    sigma = action.sigma()
     if i == 0:
         return CohomologyGroup(free_rank=len(la.kernel_basis(tau)), torsion=())
+    sigma = action.sigma()
     if i % 2:
         group = _quotient_group(la.kernel_basis(sigma), la.image_basis(tau))
     else:

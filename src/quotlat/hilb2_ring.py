@@ -15,15 +15,23 @@ H^2(S).  The top pairing of two products of four 2-classes follows the
 polarized Fujiki relation with constant 3.
 
 ``HilbertSquare.pair_monomials`` pairs the H^4 monomials sigma and x.y
-(x, y in H^2) directly from that relation and the sigma pairing, in
-integer arithmetic.  The 276x276 Gram of ``h4_gram`` is needed only to
-pair arbitrary H^4 classes given in coordinates (``pair_h4``).
+(x, y in H^2) by sigma.sigma = 1, the sigma pairing and that relation, in
+integer arithmetic; it is the only place these rules are written.  One
+integer table, ``_doubled_expansions``, writes twice each basis element
+as such monomials.  ``h4_gram`` pairs the table with itself and divides
+by 4; ``induced_h4`` maps it through an isometry and halves.
+
+Actions follow ``PrimeOrderAction``: a matrix psi acts on column vectors,
+its columns are the images of the basis vectors, and an isometry of a
+Gram G satisfies psi^T G psi = G.  ``_image_h2`` returns psi x,
+``induced_h4`` has the images of the H^4 basis as columns, and
+``apply_h4(M, a)`` returns M a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from . import _linalg as la
 from .lattice_core import GramLattice
@@ -54,9 +62,6 @@ class H2Class:
     @property
     def rank(self) -> int:
         return len(self.gamma) + 1
-
-    def as_vector(self) -> list[int]:
-        return list(self.gamma) + [self.delta]
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class HilbertSquare:
         acc = x.delta * y.delta * DELTA_SQUARE
         for i, xi in enumerate(x.gamma):
             if xi:
-                acc += xi * sum(self.gram[i][j] * y.gamma[j] for j in range(self.n))
+                acc += xi * sum(map(mul, self.gram[i], y.gamma))
         return acc
 
     def gamma(self, k: int) -> H2Class:
@@ -214,11 +219,7 @@ class HilbertSquare:
 
     def _sigma_pairing(self, x: H2Class, y: H2Class) -> int:
         # sigma . (x cup y): intersection form on the j-part, -1 on delta
-        acc = -x.delta * y.delta
-        for i, xi in enumerate(x.gamma):
-            if xi:
-                acc += xi * sum(self.gram[i][j] * y.gamma[j] for j in range(self.n))
-        return acc
+        return self.bb(x, y) + x.delta * y.delta
 
     def pair_monomials(self, a, b) -> int:
         """Top pairing of two H^4 monomials, each SIGMA or a pair (x, y).
@@ -233,68 +234,38 @@ class HilbertSquare:
             return self._sigma_pairing(*a)
         return self.fujiki_product(*a, *b)
 
-    def _basis_expansions(self):
-        """Each H^4 basis element as sigma-part plus 2-class products."""
-        half = Fraction(1, 2)
-        out = []
-        out.append((Fraction(1), []))  # sigma
-        for k in range(self.n):
-            out.append((Fraction(0), [(Fraction(1), (self.delta, self.gamma(k)))]))
-        for k in range(self.n):
-            for m in range(k + 1, self.n):
-                out.append(
-                    (Fraction(-self.gram[k][m]), [(Fraction(1), (self.gamma(k), self.gamma(m)))])
-                )
-        for k in range(self.n):
-            gk = self.gamma(k)
-            out.append(
-                (
-                    Fraction(-self.gram[k][k], 2),
-                    [(half, (gk, gk)), (-half, (self.delta, gk))],
-                )
-            )
+    def _doubled_expansions(self):
+        """Twice each H^4 basis element as integer (coefficient, monomial) terms.
+
+        In basis order: 2 sigma; 2 delta.a_k; 2 a_k.a_m - 2 g_km sigma;
+        a_k.a_k - g_kk sigma - delta.a_k.  Each list reads back through
+        ``cup`` as twice the basis vector.
+        """
+        delta = self.delta
+        gammas = [self.gamma(k) for k in range(self.n)]
+        out = [[(2, SIGMA)]]
+        out += [[(2, (delta, g))] for g in gammas]
+        for k, m in self._pair_index:
+            out.append([(2, (gammas[k], gammas[m])), (-2 * self.gram[k][m], SIGMA)])
+        for k, g in enumerate(gammas):
+            out.append([(1, (g, g)), (-self.gram[k][k], SIGMA), (-1, (delta, g))])
         return out
 
     def h4_gram(self):
         """Gram matrix of the top pairing in the integral H^4 basis."""
         if self._h4_gram_cache is not None:
             return self._h4_gram_cache
-        expans = self._basis_expansions()
-        svals = {}
-        qvals = {}
-
-        def s_of(pair):
-            if pair not in svals:
-                svals[pair] = self._sigma_pairing(*pair)
-            return svals[pair]
-
-        def q_of(a, b):
-            key = (a, b)
-            if key not in qvals:
-                qvals[key] = self.bb(a, b)
-            return qvals[key]
-
+        expans = self._doubled_expansions()
         size = self.h4_rank
         gram = [[0] * size for _ in range(size)]
-        for i in range(size):
-            si, prods_i = expans[i]
+        for i, terms_i in enumerate(expans):
             for j in range(i, size):
-                sj, prods_j = expans[j]
-                val = si * sj
-                for c, pair in prods_j:
-                    val += si * c * s_of(pair)
-                for c, pair in prods_i:
-                    val += sj * c * s_of(pair)
-                for ci, (x1, x2) in prods_i:
-                    for cj, (x3, x4) in prods_j:
-                        val += ci * cj * (
-                            q_of(x1, x3) * q_of(x2, x4)
-                            + q_of(x1, x4) * q_of(x2, x3)
-                        )
-                        val += ci * cj * q_of(x1, x2) * q_of(x3, x4)
-                if val.denominator != 1:
-                    raise ArithmeticError("top pairing of integral classes must be integral")
-                gram[i][j] = gram[j][i] = int(val)
+                val = sum(
+                    ci * cj * self.pair_monomials(a, b)
+                    for ci, a in terms_i
+                    for cj, b in expans[j]
+                )
+                gram[i][j] = gram[j][i] = _exact_div(val, 4)
         self._h4_gram_cache = gram
         return gram
 
@@ -316,60 +287,40 @@ class HilbertSquare:
         return out
 
     def _image_h2(self, psi, x: H2Class) -> H2Class:
-        img = [0] * self.n
-        for k, c in enumerate(x.gamma):
-            if c:
-                for j in range(self.n):
-                    img[j] += c * psi[k][j]
-        return H2Class(tuple(img), x.delta)
+        """psi x: column k of psi is the image of gamma_k; delta is fixed."""
+        img = tuple(sum(map(mul, row, x.gamma)) for row in psi)
+        return H2Class(img, x.delta)
 
     def induced_h4(self, psi):
-        """Matrix (rows = images of basis elements) of the action on H^4.
+        """Matrix (columns = images of basis elements) of the action on H^4.
 
-        q2 is linear; q1q1 expands bilinearly; m11 expands quadratically
-        with binomial q2 corrections.  The matrix is integral.
+        Each doubled basis element maps by sigma -> sigma and
+        x.y -> cup(psi x, psi y); halving gives the integral image.
         """
-        rows = []
-        rows.append(self.sigma().coords)
-        for k in range(self.n):
-            v = [0] * self.h4_rank
-            for j in range(self.n):
-                v[self._q2_at + j] = psi[k][j]
-            rows.append(tuple(v))
-        pair_rows = {}
-        for k in range(self.n):
-            for m in range(k + 1, self.n):
-                v = [0] * self.h4_rank
-                rk, rm = psi[k], psi[m]
-                for i in range(self.n):
-                    v[self._m11_at + i] += 2 * rk[i] * rm[i]
-                    v[self._q2_at + i] += rk[i] * rm[i]
-                    for j in range(i + 1, self.n):
-                        v[self._pair_index[(i, j)]] += rk[i] * rm[j] + rk[j] * rm[i]
-                pair_rows[(k, m)] = v
-        for k in range(self.n):
-            for m in range(k + 1, self.n):
-                rows.append(tuple(pair_rows[(k, m)]))
-        for k in range(self.n):
-            c = psi[k]
-            v = [0] * self.h4_rank
-            for i in range(self.n):
-                # binomial term c*(c-1)/2 is integral for any integer c
-                v[self._q2_at + i] = c[i] * (c[i] - 1) // 2
-                v[self._m11_at + i] = c[i] * c[i]
-                for j in range(i + 1, self.n):
-                    v[self._pair_index[(i, j)]] = c[i] * c[j]
-            rows.append(tuple(v))
-        return [list(r) for r in rows]
+        cols = []
+        for terms in self._doubled_expansions():
+            img = [0] * self.h4_rank
+            for c, mono in terms:
+                if mono is SIGMA:
+                    img[0] += c
+                    continue
+                x, y = mono
+                prod = self.cup(self._image_h2(psi, x), self._image_h2(psi, y))
+                for r, v in enumerate(prod.coords):
+                    img[r] += c * v
+            cols.append([_exact_div(v, 2) for v in img])
+        return la.transpose(cols)
 
     def apply_h4(self, matrix, a: H4Class) -> H4Class:
-        v = [0] * self.h4_rank
-        for i, c in enumerate(a.coords):
-            if c:
-                row = matrix[i]
-                for j in range(self.h4_rank):
-                    v[j] += c * row[j]
-        return H4Class(tuple(v))
+        """matrix . a, for a matrix whose columns are images."""
+        return H4Class(tuple(sum(map(mul, row, a.coords)) for row in matrix))
+
+
+def _exact_div(value: int, d: int) -> int:
+    q, r = divmod(value, d)
+    if r:
+        raise ArithmeticError("top pairing and action of integral classes must be integral")
+    return q
 
 
 def s_lattice_gram(hilb: HilbertSquare, u1: H2Class, u2: H2Class):

@@ -31,7 +31,7 @@ class NotCoprime(ValueError):
 
 
 class ClassificationFailure(RuntimeError):
-    """Computed lattice data fits none of the five admissible cases."""
+    """Computed toric data breaks an invariant or fits no admissible case."""
 
 
 def _cross(a: Vec2, b: Vec2) -> int:
@@ -94,7 +94,7 @@ def _resolve_cone(a: Vec2, b: Vec2) -> list[Vec2]:
                 v = ((b[0] + k * cur[0]) // d, (b[1] + k * cur[1]) // d)
                 break
         else:
-            raise AssertionError("no smooth neighbor found")
+            raise ClassificationFailure("no smooth neighbor found")
         rays.append(v)
         cur = v
 
@@ -157,33 +157,6 @@ class Fan2D:
             raise ArithmeticError(f"neighbors of ray {ray} do not close up")
         return -a
 
-    def exceptional_self_intersections(self) -> tuple[int, ...]:
-        """Self-intersections of the 'f' rays, ordered from the (0,1) edge."""
-        out = [self.self_intersection(i) for i, lab in enumerate(self.labels) if lab == "f"]
-        return tuple(reversed(out))
-
-
-def resolve_2d(p: int, q: int) -> Fan2D:
-    """Minimal resolution fan of the 1/p(1, q) surface singularity.
-
-    The singular cone is spanned by e1 = (p, p-q) and e2 = (0, 1); the
-    returned chain fan runs counterclockwise from e1 to e2 with one 'f'
-    ray per Hirzebruch-Jung coefficient.
-    """
-    if not 1 <= q <= p - 1:
-        raise ValueError(f"need 1 <= q <= p-1, got q={q}")
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"gcd({p}, {q}) != 1")
-    e1 = (p, p - q)
-    e2 = (0, 1)
-    interior = _resolve_cone(e1, e2)
-    rays = (e1, *interior, e2)
-    labels = ("e",) + ("f",) * len(interior) + ("e",)
-    fan = Fan2D(rays, labels)
-    if not fan.is_smooth:
-        raise AssertionError("subdivision left a singular cone")
-    return fan
-
 
 def _compactified_fan(p: int, q: int, corners: tuple[Vec2, ...], extra_blowup: bool) -> Fan2D:
     """Complete smooth fan containing the resolved 1/p(1, q) cone.
@@ -216,10 +189,10 @@ def _compactified_fan(p: int, q: int, corners: tuple[Vec2, ...], extra_blowup: b
             labels.append("u")
     for v, lab in zip(rays, labels):
         if lab == "u" and v[0] >= 0 and p * v[1] >= (p - q) * v[0]:
-            raise AssertionError(f"compactification ray {v} inside the singular cone")
+            raise ClassificationFailure(f"compactification ray {v} inside the singular cone")
     fan = Fan2D(tuple(rays), tuple(labels), complete=True)
     if not fan.is_smooth:
-        raise AssertionError("compactified fan not smooth")
+        raise ClassificationFailure("compactified fan not smooth")
     return fan
 
 
@@ -295,18 +268,18 @@ def _weight_from_fan(fan: Fan2D, p: int, q: int) -> WeightDim2Result:
     # Danilov relations: one row per coordinate of the lattice
     rel = [[rays[j][i] for j in range(n)] for i in range(2)]
     if any(x != 0 for row in la.mat_mul(rel, pairing) for x in row):
-        raise AssertionError("intersection pairing does not kill the relations")
+        raise ClassificationFailure("intersection pairing does not kill the relations")
 
     snf = la.smith_normal_form(rel)
     if snf.diagonal != [1, 1]:
-        raise AssertionError("ray classes do not present a free group")
+        raise ClassificationFailure("ray classes do not present a free group")
     # class of ray j is row j of V with the first two coordinates dropped,
     # and row 2+i of V^{-1} lifts the i-th basis class back to Z^rays
     cls = [snf.v[j][2:] for j in range(n)]
     lift = snf.vinv[2:]
     gram = la.mat_mul(lift, la.mat_mul(pairing, la.transpose(lift)))
     if abs(la.det_bareiss(gram)) != 1:
-        raise AssertionError("H^2 of a smooth complete toric surface must be unimodular")
+        raise ClassificationFailure("H^2 of a smooth complete toric surface must be unimodular")
 
     f_idx = [i for i, lab in enumerate(fan.labels) if lab == "f"]
     u_idx = [i for i, lab in enumerate(fan.labels) if lab == "u"]
@@ -317,7 +290,7 @@ def _weight_from_fan(fan: Fan2D, p: int, q: int) -> WeightDim2Result:
     d_gamma_prime = abs(la.det_bareiss(gamma_prime))
     d_gamma_bar = abs(la.det_bareiss(gamma_bar))
     if d_gamma_prime != p:
-        raise AssertionError("exceptional chain discriminant must equal p")
+        raise ClassificationFailure("exceptional chain discriminant must equal p")
 
     # Im g' is orthogonal to every boundary class, Im gbar to every
     # exceptional class; both kernels are saturated.
@@ -328,15 +301,15 @@ def _weight_from_fan(fan: Fan2D, p: int, q: int) -> WeightDim2Result:
     for c in cls_f:
         sol = la.solve_in_rowspan(im_gprime, c)
         if sol is None or any(x.denominator != 1 for x in sol):
-            raise AssertionError("exceptional class escapes Im g'")
+            raise ClassificationFailure("exceptional class escapes Im g'")
     for c in cls_u:
         sol = la.solve_in_rowspan(im_gbar, c)
         if sol is None or any(x.denominator != 1 for x in sol):
-            raise AssertionError("boundary class escapes Im gbar")
+            raise ClassificationFailure("boundary class escapes Im gbar")
 
     i0 = abs(la.det_bareiss(im_gprime + im_gbar))
     if d_prime * d_bar != i0 * i0:
-        raise AssertionError("index relation discr(Im g') * discr(Im gbar) = i0^2 fails")
+        raise ClassificationFailure("index relation discr(Im g') * discr(Im gbar) = i0^2 fails")
 
     # cokernel of H^2(compactification) -> H^2(complement of the f-curves)
     tors_u = la.elementary_divisors(cls_u)

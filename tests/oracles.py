@@ -319,3 +319,91 @@ def fraction_solve_in_rowspan(basis, vec) -> list[Fraction] | None:
         if sum(coeffs[r] * m[r][c] for r in range(k)) != vec[c]:
             return None
     return coeffs
+
+
+# The former Hilbert-square routes: the H^4 Gram from Fraction basis
+# expansions with the sigma and Fujiki pairing rules written out inline,
+# and the H^4 action from hand-derived binomial formulas with rows as
+# images (the transpose of the library's column convention).
+
+
+def fraction_h4_gram(hilb) -> list[list[int]]:
+    n = hilb.n
+    half = Fraction(1, 2)
+    delta = hilb.delta
+    expans = [(Fraction(1), [])]  # sigma
+    expans += [(Fraction(0), [(Fraction(1), (delta, hilb.gamma(k)))]) for k in range(n)]
+    for k in range(n):
+        for m in range(k + 1, n):
+            expans.append(
+                (Fraction(-hilb.gram[k][m]), [(Fraction(1), (hilb.gamma(k), hilb.gamma(m)))])
+            )
+    for k in range(n):
+        gk = hilb.gamma(k)
+        expans.append((Fraction(-hilb.gram[k][k], 2), [(half, (gk, gk)), (-half, (delta, gk))]))
+
+    def s_of(pair):
+        # sigma . (x y): intersection form on the gamma part, -1 on delta
+        x, y = pair
+        acc = -x.delta * y.delta
+        for i in range(n):
+            for j in range(n):
+                acc += x.gamma[i] * hilb.gram[i][j] * y.gamma[j]
+        return acc
+
+    q_of = hilb.bb
+    size = len(expans)
+    gram = [[0] * size for _ in range(size)]
+    for i in range(size):
+        si, prods_i = expans[i]
+        for j in range(i, size):
+            sj, prods_j = expans[j]
+            val = si * sj
+            for c, pair in prods_j:
+                val += si * c * s_of(pair)
+            for c, pair in prods_i:
+                val += sj * c * s_of(pair)
+            for ci, (x1, x2) in prods_i:
+                for cj, (x3, x4) in prods_j:
+                    val += ci * cj * (
+                        q_of(x1, x2) * q_of(x3, x4)
+                        + q_of(x1, x3) * q_of(x2, x4)
+                        + q_of(x1, x4) * q_of(x2, x3)
+                    )
+            if val.denominator != 1:
+                raise ArithmeticError("top pairing of integral classes must be integral")
+            gram[i][j] = gram[j][i] = int(val)
+    return gram
+
+
+def row_induced_h4(hilb, psi) -> list[list[int]]:
+    """Row k of psi is the image of gamma_k; row i of the result the image of e_i."""
+    n, size = hilb.n, hilb.h4_rank
+    q2_at, m11_at, pair_index = 1, hilb._m11_at, hilb._pair_index
+    rows = [[1] + [0] * (size - 1)]
+    for k in range(n):
+        v = [0] * size
+        for j in range(n):
+            v[q2_at + j] = psi[k][j]
+        rows.append(v)
+    for k in range(n):
+        for m in range(k + 1, n):
+            v = [0] * size
+            rk, rm = psi[k], psi[m]
+            for i in range(n):
+                v[m11_at + i] += 2 * rk[i] * rm[i]
+                v[q2_at + i] += rk[i] * rm[i]
+                for j in range(i + 1, n):
+                    v[pair_index[(i, j)]] += rk[i] * rm[j] + rk[j] * rm[i]
+            rows.append(v)
+    for k in range(n):
+        c = psi[k]
+        v = [0] * size
+        for i in range(n):
+            # binomial term c*(c-1)/2 is integral for any integer c
+            v[q2_at + i] = c[i] * (c[i] - 1) // 2
+            v[m11_at + i] = c[i] * c[i]
+            for j in range(i + 1, n):
+                v[pair_index[(i, j)]] = c[i] * c[j]
+        rows.append(v)
+    return rows

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quotlat import toric_weight
 from quotlat.cli import main
 
 
@@ -93,6 +94,15 @@ def test_weight2d_command(capsys):
     assert code == 0
     assert "weight 1" in out
     assert "HJ [3, 2]" in out
+
+
+def test_weight2d_invariant_failure_exits_2(monkeypatch, capsys):
+    # a broken invariant inside the toric computation is a typed failure
+    monkeypatch.setattr(toric_weight.Fan2D, "is_smooth", property(lambda fan: False))
+    code, out, err = run(capsys, ["weight2d", "5", "2"])
+    assert code == 2
+    assert out == ""
+    assert "error: compactified fan not smooth" in err
 
 
 def test_hilb2_command(capsys):

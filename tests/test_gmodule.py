@@ -1,7 +1,9 @@
 """Order-p actions: Jordan profiles, symmetric squares, group cohomology."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from random import Random
 
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import quotlat
 from quotlat import _linalg as la
-from quotlat import gmodule, lattice_core
+from quotlat import gmodule
 from quotlat import (
     CohomologyProfile,
     JordanProfile,
@@ -170,19 +173,22 @@ def test_image_chain_ranks_match_dense_powers(p, seed, conjugated):
 # ---------------------------------------------------------------- invariant checks
 
 
-def assert_lines(module) -> list[int]:
-    tree = ast.parse(inspect.getsource(module))
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+def _is_assertion(node) -> bool:
+    """An ``assert`` statement or a ``raise AssertionError``."""
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
-def test_gmodule_has_no_asserts():
-    """Invariant checks raise GModuleError, so they also run under python -O."""
-    assert not assert_lines(gmodule)
-
-
-def test_lattice_core_has_no_asserts():
-    """Invariant checks raise LatticeError subclasses, also under python -O."""
-    assert not assert_lines(lattice_core)
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(quotlat.__path__)))
+def test_module_has_no_asserts(name):
+    """Invariant checks raise typed errors, so they run under python -O and
+    the CLI can map them to exit 2."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"quotlat.{name}")))
+    assert not [node.lineno for node in ast.walk(tree) if _is_assertion(node)]
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,15 @@ from quotlat import (
     SIGMA,
     H2Class,
     HilbertSquare,
+    PrimeOrderAction,
     h2_primitivity_certificate,
+    jordan_profile,
+    k3_order5_action,
     parse_lattice_expr,
     s_lattice_gram,
+    sym2_profile,
 )
-from quotlat._linalg import det_bareiss
+from quotlat._linalg import det_bareiss, transpose
 
 S_GRAM = (
     (12, -2, -1, 0, 0, 0, 0),
@@ -110,6 +114,12 @@ def test_h4_gram_is_unimodular(hilb):
     assert abs(det_bareiss(hilb.h4_gram())) == 1
 
 
+@pytest.mark.parametrize("expr", ["U", "U^3", "U + E8(-1)"])
+def test_h4_gram_matches_fraction_oracle(expr):
+    small = HilbertSquare(parse_lattice_expr(expr).gram_rows())
+    assert small.h4_gram() == oracles.fraction_h4_gram(small)
+
+
 def test_cup_is_symmetric_and_bilinear(hilb):
     rng = Random(12)
     for _ in range(10):
@@ -139,6 +149,61 @@ def test_induced_maps_commute_with_cup(hilb):
     moved = hilb.apply_h4(h4map, hilb.cup(x, y))
     direct = hilb.cup(hilb._image_h2(psi, x), hilb._image_h2(psi, y))
     assert moved.coords == direct.coords
+
+
+def u_block_cycle():
+    # gamma_i -> gamma_(i+2) -> gamma_(i+4) -> gamma_i on the U blocks of
+    # U^3 + E8(-1)^2: column k holds the image of gamma_k, not symmetric
+    psi = [[int(i == k) for k in range(22)] for i in range(22)]
+    for i in range(6):
+        psi[i][i] = 0
+        psi[(i + 2) % 6][i] = 1
+    return psi
+
+
+@pytest.fixture(scope="module")
+def order5():
+    act = k3_order5_action()
+    return act, HilbertSquare(act.gram)
+
+
+def random_h2_class(rng):
+    coeffs = [0] * 22
+    for _ in range(4):
+        coeffs[rng.randrange(22)] = rng.randint(-3, 3)
+    return H2Class(tuple(coeffs), rng.choice((-2, -1, 1, 2)))
+
+
+def test_induced_h4_matches_row_oracle(hilb, order5):
+    psi = u_block_cycle()
+    assert psi != transpose(psi)
+    assert hilb.induced_h4(psi) == transpose(oracles.row_induced_h4(hilb, transpose(psi)))
+    act, hs = order5
+    phi = [list(r) for r in act.phi]
+    assert hs.induced_h4(phi) == transpose(oracles.row_induced_h4(hs, transpose(phi)))
+
+
+def test_induced_h4_commutes_with_cup_for_order5(order5):
+    act, hs = order5
+    phi = [list(r) for r in act.phi]
+    h4map = hs.induced_h4(phi)
+    rng = Random(5)
+    for _ in range(20):
+        x, y = random_h2_class(rng), random_h2_class(rng)
+        moved = hs.apply_h4(h4map, hs.cup(x, y))
+        assert moved == hs.cup(hs._image_h2(phi, x), hs._image_h2(phi, y))
+
+
+def test_induced_h4_is_the_sym2_of_the_h2_action(order5):
+    # columns are images, so the induced matrices pass PrimeOrderAction's
+    # phi^T G phi = G check unchanged
+    act, hs = order5
+    phi = [list(r) for r in act.phi]
+    h2 = PrimeOrderAction(5, hs.induced_h2(phi), gram=hs.bb_gram())
+    assert jordan_profile(h2).blocks == (0, 3, 0, 0, 0, 4)
+    h4 = PrimeOrderAction(5, hs.induced_h4(phi), gram=hs.h4_gram())
+    assert jordan_profile(h4).blocks == (0, 6, 0, 0, 0, 54)
+    assert jordan_profile(h4) == sym2_profile(jordan_profile(h2))
 
 
 def test_s_lattice_gram_frozen(hilb):
