@@ -3,7 +3,8 @@
 Everything here operates on plain ``list[list[int]]`` (or ``Fraction``)
 matrices and never touches floating point.  Elimination over Q has one
 fraction-free core, ``echelon_fraction_free``; ``det_bareiss``,
-``rank_rational``, ``inv_rational`` and ``solve_in_rowspan`` wrap it.
+``rank_rational``, ``inv_rational``, ``solve_in_rowspan`` and
+``integer_coordinates`` wrap it.
 Elimination over F_p has one core, ``echelon_mod_p``, behind
 ``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``.  The
 Smith normal form keeps the full transform quadruple (U, Uinv, V, Vinv)
@@ -177,6 +178,8 @@ def left_kernel_mod_p(a, p: int) -> list[list[int]]:
 
 def _integral_row(row) -> list[int]:
     """Scale a row of ints and Fractions to integers by the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return list(row)  # a copy: the elimination updates rows in place
     d = 1
     for x in row:  # pairwise: an argument tuple per row raised peak RSS
         d = lcm(d, x.denominator)
@@ -193,8 +196,9 @@ def echelon_fraction_free(a) -> tuple[list[list[int]], list[int], int]:
     After k pivots every remaining entry is a (k+1)-minor of the scaled
     input, so the division by the previous pivot is exact, entries stay
     bounded by Hadamard's inequality, and the last pivot of a nonsingular
-    square integer matrix is sign * det.  Zero rows are dropped and rows a
-    step leaves unchanged are skipped.
+    square integer matrix is sign * det.  A step rewrites only the columns
+    from its pivot on (the rest is already zero), drops zero rows and skips
+    rows it leaves unchanged.
     """
     m = [r for r in map(_integral_row, a) if any(r)]
     cols = len(m[0]) if m else 0
@@ -213,11 +217,12 @@ def echelon_fraction_free(a) -> tuple[list[list[int]], list[int], int]:
             sign = -sign
         top = m[rank]
         lead = top[col]
+        tail = top[col:]
         rest = []
         for row in m[rank + 1:]:
             f = row[col]
             if f or lead != prev:
-                row = [(lead * x - f * y) // prev for x, y in zip(row, top)]
+                row[col:] = [(lead * x - f * y) // prev for x, y in zip(row[col:], tail)]
             if any(row):  # a zero row stays zero; drop it
                 rest.append(row)
         m[rank + 1:] = rest
@@ -283,6 +288,37 @@ def solve_in_rowspan(basis, vec) -> list[Fraction] | None:
     if len(pivots) > k:
         return None
     return [x[0] for x in _back_substitute(rows, k)]
+
+
+def integer_coordinates(basis, vecs) -> list[list[int]] | None:
+    """Integer c_j with c_j * basis == vecs[j] for every j, or None.
+
+    One elimination of [basis^T | vecs^T] serves all vectors: a pivot past
+    column len(basis) puts a vector outside the rational span, and integer
+    back-substitution stops at the first nonzero remainder, a coordinate
+    that is not an integer.  Dependent basis rows raise ValueError.
+    """
+    k = len(basis)
+    width = len(basis[0]) if basis else len(vecs[0]) if vecs else 0
+    rows, pivots, _ = echelon_fraction_free(
+        [[b[c] for b in basis] + [v[c] for v in vecs] for c in range(width)]
+    )
+    if pivots[:k] != list(range(k)):
+        raise ValueError("basis rows are dependent")
+    if len(pivots) > k:
+        return None
+    x: list[list[int]] = [[]] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        acc = row[k:]
+        for j in range(i + 1, k):
+            if row[j]:
+                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
+        qr = [divmod(s, row[i]) for s in acc]
+        if any(r for _, r in qr):
+            return None
+        x[i] = [q for q, _ in qr]
+    return [[x[i][j] for i in range(k)] for j in range(len(vecs))]
 
 
 @dataclass

@@ -253,17 +253,9 @@ def _quotient_group(kernel_rows, image_rows) -> CohomologyGroup:
     k = len(kernel_rows)
     if k == 0:
         return CohomologyGroup(free_rank=0, torsion=())
-    coords = []
-    for gen in image_rows:
-        c = la.solve_in_rowspan(kernel_rows, gen)
-        if c is None:
-            raise GModuleError("image generator outside kernel span")
-        row = []
-        for x in c:
-            if x.denominator != 1:
-                raise GModuleError("image generator not integral over kernel basis")
-            row.append(int(x))
-        coords.append(row)
+    coords = la.integer_coordinates(kernel_rows, image_rows)
+    if coords is None:
+        raise GModuleError("image generator outside the integer span of the kernel basis")
     if not coords:
         return CohomologyGroup(free_rank=k, torsion=())
     res = la.smith_normal_form(coords)

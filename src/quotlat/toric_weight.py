@@ -298,14 +298,13 @@ def _weight_from_fan(fan: Fan2D, p: int, q: int) -> WeightDim2Result:
     im_gbar = la.kernel_basis(la.mat_mul(cls_f, gram))
     d_prime = abs(la.det_bareiss(la.mat_mul(im_gprime, la.mat_mul(gram, la.transpose(im_gprime)))))
     d_bar = abs(la.det_bareiss(la.mat_mul(im_gbar, la.mat_mul(gram, la.transpose(im_gbar)))))
-    for c in cls_f:
-        sol = la.solve_in_rowspan(im_gprime, c)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ClassificationFailure("exceptional class escapes Im g'")
-    for c in cls_u:
-        sol = la.solve_in_rowspan(im_gbar, c)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ClassificationFailure("boundary class escapes Im gbar")
+    # Exceptional and boundary curves are disjoint, so each exceptional class
+    # lies in Im g' over Q and each boundary class in Im gbar; one elimination
+    # per kernel checks that all of them have integer coordinates there.
+    if la.integer_coordinates(im_gprime, cls_f) is None:
+        raise ClassificationFailure("exceptional class escapes Im g'")
+    if la.integer_coordinates(im_gbar, cls_u) is None:
+        raise ClassificationFailure("boundary class escapes Im gbar")
 
     i0 = abs(la.det_bareiss(im_gprime + im_gbar))
     if d_prime * d_bar != i0 * i0:

@@ -312,6 +312,22 @@ def test_group_cohomology_orders_match_construction():
             assert group_cohomology(act, 3) == group_cohomology(act, 1)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_unsaturated_kernel_basis_is_caught(monkeypatch, p, degree):
+    """Image generators need integer coordinates over the kernel basis."""
+    kernel_basis = la.kernel_basis
+
+    def doubled(a):
+        rows = kernel_basis(a)
+        return [[2 * x for x in rows[0]], *rows[1:]]
+
+    monkeypatch.setattr(gmodule.la, "kernel_basis", doubled)
+    for counts in ((0, 0, 1), (1, 1, 1)):
+        with pytest.raises(GModuleError, match="integer span of the kernel basis"):
+            group_cohomology(reiner_action(p, counts), degree)
+
+
 def test_a_invariant_counts_glued_blocks():
     rng = Random(17)
     for p in (3, 5, 7, 11):

@@ -195,3 +195,65 @@ def test_left_kernel_mod_p_is_the_kernel():
         assert len(kernel) == n - oracles.rank_mod_p(g, p)
         assert not kernel or oracles.rank_mod_p(kernel, p) == len(kernel)
         assert all(0 <= x < p for v in kernel for x in v)
+
+
+def test_integer_coordinates_match_per_vector_solves():
+    """One batched elimination agrees with solve_in_rowspan on every vector.
+
+    Non-saturated bases (a doubled row, product bases), negated rows,
+    vectors outside the span, rational vectors, and empty bases and vector
+    lists; the result is None exactly when some vector has no integral
+    solution, and dependent bases raise ValueError.
+    """
+    rng = Random(7)
+    seen = {"integral": 0, "outside": 0, "fractional": 0, "dependent": 0, "empty": 0}
+    for case in range(400):
+        k = rng.randint(0, 4)
+        width = rng.randint(max(k, 1), 7)
+        rank = k - 1 if case % 10 == 0 and k else k
+        base = low_rank_matrix(rng, k, width, rank) if rank else la.zeros(k, width)
+        basis = [list(row) for row in base]
+        if case % 3 == 0 and k:
+            basis[0] = [2 * x for x in basis[0]]
+        if case % 4 == 1:
+            # every row leads with a negative entry, so the first pivot is negative
+            basis = [[-x for x in row] if next((x for x in row if x), 0) > 0 else row for row in basis]
+        vecs = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.2:
+                vecs.append([rng.randint(-5, 5) for _ in range(width)])
+            else:
+                den = 1 if kind < 0.8 else rng.randint(2, 3)
+                coeffs = [Fraction(rng.randint(-4, 4), den) for _ in range(k)]
+                vecs.append([sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(width)])
+        if oracles.rank_rational(basis) < k:
+            seen["dependent"] += 1
+            with pytest.raises(ValueError, match="dependent"):
+                la.integer_coordinates(basis, vecs)
+            continue
+        sols = [la.solve_in_rowspan(basis, v) for v in vecs]
+        got = la.integer_coordinates(basis, vecs)
+        if all(s is not None and all(x.denominator == 1 for x in s) for s in sols):
+            assert got == [[int(x) for x in s] for s in sols], (basis, vecs)
+            assert all(isinstance(x, int) for c in got for x in c)
+            seen["empty" if not (k and vecs) else "integral"] += 1
+        else:
+            assert got is None, (basis, vecs)
+            seen["outside" if None in sols else "fractional"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_integer_coordinates_edge_cases():
+    assert la.integer_coordinates([], []) == []
+    assert la.integer_coordinates([], [[0, 0], [0, 0]]) == [[], []]
+    assert la.integer_coordinates([], [[0, 0], [0, 1]]) is None
+    assert la.integer_coordinates([[1, 2], [0, 3]], []) == []
+    assert la.integer_coordinates([[2, 0], [0, 1]], [[2, 5], [4, -1]]) == [[1, 5], [2, -1]]
+    assert la.integer_coordinates([[2, 0], [0, 1]], [[2, 5], [1, 0]]) is None
+    assert la.integer_coordinates([[-3, 1]], [[6, -2], [-3, 1]]) == [[-2], [1]]
+    for basis in ([[1, 2], [2, 4]], [[0, 0]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError, match="dependent"):
+            la.integer_coordinates(basis, [basis[0]])
+        with pytest.raises(ValueError, match="dependent"):
+            la.integer_coordinates(basis, [])

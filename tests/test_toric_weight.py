@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from quotlat import _linalg as la
+from quotlat import toric_weight
 from quotlat import (
     canonical_exponents,
     hj_expand,
@@ -16,7 +18,7 @@ from quotlat import (
     weight_dim2,
     weight_lookup,
 )
-from quotlat.toric_weight import WeightValue
+from quotlat.toric_weight import ClassificationFailure, WeightValue
 
 
 def test_hj_expand_frozen():
@@ -63,6 +65,47 @@ def test_weight_dim2_small_primes(p):
         r = weight_dim2(p, q)
         assert (r.weight.lo, r.weight.hi) == (1, 1), (p, q)
         assert r.fan.complete
+
+
+@pytest.mark.parametrize("p", [23, 29, 31])
+def test_weight_dim2_above_catalog_primes(p):
+    # the catalog stops at p = 19
+    for q in (1, 2, p - 1):
+        r = weight_dim2(p, q)
+        assert (r.weight.lo, r.weight.hi) == (1, 1), (p, q)
+        assert r.discr_gamma_prime == p
+
+
+def _doubling_kernel_basis(monkeypatch, calls):
+    """Make kernel_basis double the first row of its result on the given calls.
+
+    The first fan's Im g' comes from call 1 and its Im gbar from call 2.
+    """
+    kernel_basis = la.kernel_basis
+    count = [0]
+
+    def doubled(a):
+        rows = kernel_basis(a)
+        count[0] += 1
+        if count[0] in calls:
+            rows = [[2 * x for x in rows[0]], *rows[1:]]
+        return rows
+
+    monkeypatch.setattr(toric_weight.la, "kernel_basis", doubled)
+
+
+@pytest.mark.parametrize("pq", [(5, 2), (7, 3), (19, 1), (3, 1), (2, 1)])
+def test_unsaturated_im_gprime_is_caught(monkeypatch, pq):
+    _doubling_kernel_basis(monkeypatch, calls={1})
+    with pytest.raises(ClassificationFailure, match="exceptional class escapes Im g'"):
+        weight_dim2(*pq)
+
+
+@pytest.mark.parametrize("pq", [(5, 2), (19, 1)])
+def test_unsaturated_im_gbar_is_caught(monkeypatch, pq):
+    _doubling_kernel_basis(monkeypatch, calls={2})
+    with pytest.raises(ClassificationFailure, match="boundary class escapes Im gbar"):
+        weight_dim2(*pq)
 
 
 def test_point_type_table():
