@@ -33,16 +33,9 @@ from .lattice_core import (
     parse_lattice_expr,
     smith_normal_form,
 )
-from .normality import (
-    NormalityError,
-    check_maintori,
-    check_simple_criteria,
-    check_surface,
-    check_th3,
-    check_theorem_main,
-)
+from .normality import NormalityError
 from .quotient_lattice import bb_quotient, lattices_match, quotient_middle_lattice
-from .scenario import Scenario, find_scenario, load_catalog, run_normality, verify_scenario
+from .scenario import ROUTE_TABLE, Scenario, find_scenario, load_catalog, run_normality, verify_scenario
 from .toric_weight import ClassificationFailure, canonical_exponents, point_type, weight_dim2, weight_lookup
 
 
@@ -129,15 +122,6 @@ def cmd_jordan(args) -> int:
     return 0
 
 
-_CRITERIA = {
-    "main": lambda s: check_theorem_main(s.profile, s.fixed_locus),
-    "th3": lambda s: check_th3(s.profile, s.fixed_locus),
-    "maintori": lambda s: check_maintori(s.profile, s.fixed_locus),
-    "surface": lambda s: check_surface(s.profile, s.fixed_locus),
-    "simple": lambda s: check_simple_criteria(s.profile, s.complex_dimension),
-}
-
-
 def _scenario_header(s: Scenario) -> None:
     print(f"scenario {s.name} (p = {s.prime}, dimension {s.complex_dimension})")
     if s.description:
@@ -157,7 +141,8 @@ def cmd_normality(args) -> int:
             raise ValueError(f"{s.name} declares no cohomology profile")
         if args.criterion != "simple" and s.fixed_locus is None:
             raise ValueError(f"{s.name} declares no fixed locus")
-        report = _CRITERIA[args.criterion](s)
+        route = "weights" if args.criterion == "maintori" else args.criterion
+        report = ROUTE_TABLE[route](s, s.complex_dimension, {})
         reports = {report.degree: report}
     ok = True
     for k in sorted(reports):

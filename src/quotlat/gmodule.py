@@ -7,6 +7,12 @@ actions of prime order p <= 19 only sizes 1, p-1 and p occur; for p = 2 the
 size-1 count splits into integral +1 and -1 eigenlattice contributions.
 These counts drive everything downstream: invariant-lattice discriminants,
 group cohomology, symmetric-square profiles and normality chains.
+
+Two helpers state the free-quotient formulas once: `free_torsion_rank`
+(the p-torsion rank T of H^k of a free quotient) and
+`vanishing_conditions` (the block-count conditions that stand in for
+degeneration over Z).  `free_quotient_cohomology` and the middle-degree
+chains in `normality` both read them.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _linalg as la
-from .lattice_core import GramLattice, SublatticeEmbedding, _freeze, direct_sum, sublattice
+from .lattice_core import GramLattice, SublatticeEmbedding, _freeze, _p_power_log, direct_sum, sublattice
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -229,13 +235,9 @@ def a_invariant(action: PrimeOrderAction) -> int:
     stacked = k_tau + k_sigma
     if len(stacked) != n:
         raise GModuleError("ker tau + ker sigma does not have full rank")
-    idx = abs(la.det_bareiss(stacked))
-    a = 0
-    while idx > 1:
-        if idx % p:
-            raise GModuleError("index of ker tau + ker sigma is not a p-power")
-        idx //= p
-        a += 1
+    a = _p_power_log(abs(la.det_bareiss(stacked)), p)
+    if a is None:
+        raise GModuleError("index of ker tau + ker sigma is not a p-power")
     profile = jordan_profile(action)
     if a != profile.lp:
         raise GModuleError(f"a-invariant {a} disagrees with l_p = {profile.lp}")
@@ -632,13 +634,27 @@ class CohomologyProfile:
         return self.lp(k) + self.l1(k)
 
 
-def _even_vanishing_holds(cp: CohomologyProfile, m: int) -> bool:
-    # hypotheses of the degree-2m free-quotient formula without degeneration
-    if any(cp.l_pm1(2 * i) != 0 for i in range(1, m + 1)):
-        return False
-    if m > 1 and any(cp.l1(2 * i + 1) != 0 for i in range(m)):
-        return False
-    return True
+def free_torsion_rank(cp: CohomologyProfile, k: int) -> int:
+    """p-torsion rank of H^k of the quotient by a free action.
+
+    Each degree d < k contributes l_(p-1)^d when k - d is odd and l_1^d
+    when it is even: for k = 2m that is sum_(i<m) l_(p-1)^(2i+1) +
+    sum_(i<m) l_1^(2i), for k = 2m+1 it is sum_(i<=m) l_(p-1)^(2i) +
+    sum_(i<m) l_1^(2i+1) (p = 2 uses the sign split throughout).
+    """
+    return sum(cp.l_pm1(d) if (k - d) % 2 else cp.l1(d) for d in range(k))
+
+
+def vanishing_conditions(cp: CohomologyProfile, top: int) -> tuple[bool, bool]:
+    """(no size-(p-1) blocks in even degrees 2..top, no size-1 blocks in odd
+    degrees below top); the odd condition is waived when top <= 2.
+
+    These replace degeneration of the equivariant spectral sequence over Z
+    up to degree top; p = 2 reads the sign split as usual.
+    """
+    even_ok = all(cp.l_pm1(d) == 0 for d in range(2, top + 1, 2))
+    odd_ok = top <= 2 or all(cp.l1(d) == 0 for d in range(1, top, 2))
+    return even_ok, odd_ok
 
 
 def free_quotient_cohomology(
@@ -646,38 +662,26 @@ def free_quotient_cohomology(
 ) -> CohomologyGroup:
     """H^k(X/G, Z) for a free order-p action with torsion-free H^*(X, Z).
 
-    The free rank is the invariant rank in degree k; the p-torsion rank
-    sums lower-degree block counts: for k = 2m it is
-    sum_(i<m) l_(p-1)^(2i+1) + sum_(i<m) l_1^(2i), and for k = 2m+1 it is
-    sum_(i<=m) l_(p-1)^(2i) + sum_(i<m) l_1^(2i+1) (p = 2 uses the sign
-    split throughout).  The caller either asserts degeneration of the
-    equivariant spectral sequence over Z or the vanishing conditions that
-    replace it must hold in the profile; otherwise HypothesesNotMet.
+    The free rank is the invariant rank in degree k and the p-torsion rank
+    is free_torsion_rank(cp, k).  The caller either asserts degeneration of
+    the equivariant spectral sequence over Z, or the vanishing conditions
+    that replace it must hold up to degree k (up to k - 1 for odd k, which
+    then carries invariants only); otherwise HypothesesNotMet.
     """
     if not 0 <= k <= 2 * cp.dimension:
         raise GModuleError(f"degree {k} out of range 0..{2 * cp.dimension}")
     if not cp.torsion_free:
         raise HypothesesNotMet("H^*(X, Z) must be torsion-free")
-    free_rank = cp.invariant_rank(k)
-    if k % 2 == 0:
-        m = k // 2
-        if not e2_degenerate_over_z and not _even_vanishing_holds(cp, m):
-            raise HypothesesNotMet(
-                f"degree {k}: no degeneration flag and the vanishing conditions fail"
-            )
-        torsion_rank = sum(cp.l_pm1(2 * i + 1) + cp.l1(2 * i) for i in range(m))
+    # both conditions only tighten as top grows, so an odd k is covered
+    # exactly when the even degree k - 1 below it is
+    covered = all(vanishing_conditions(cp, k - k % 2))
+    if e2_degenerate_over_z or (covered and k % 2 == 0):
+        torsion_rank = free_torsion_rank(cp, k)
+    elif covered:
+        # the odd degree above a covered even degree carries invariants only
+        torsion_rank = 0
     else:
-        m = (k - 1) // 2
-        if e2_degenerate_over_z:
-            torsion_rank = sum(cp.l_pm1(2 * i) for i in range(m + 1))
-            torsion_rank += sum(cp.l1(2 * i + 1) for i in range(m))
-        elif _even_vanishing_holds(cp, m) or (
-            m + 1 <= cp.dimension and _even_vanishing_holds(cp, m + 1)
-        ):
-            # odd neighbors of a covered even degree are pure invariants
-            torsion_rank = 0
-        else:
-            raise HypothesesNotMet(
-                f"degree {k}: no degeneration flag and the vanishing conditions fail"
-            )
-    return CohomologyGroup(free_rank=free_rank, torsion=(cp.p,) * torsion_rank)
+        raise HypothesesNotMet(
+            f"degree {k}: no degeneration flag and the vanishing conditions fail"
+        )
+    return CohomologyGroup(free_rank=cp.invariant_rank(k), torsion=(cp.p,) * torsion_rank)

@@ -19,6 +19,13 @@ of l_(p-1).  A checker distinguishes three outcomes: a hypothesis fails
 applies and its equality holds (Normal), or the input data contradicts
 an inequality the certificate guarantees (an exception, because such a
 scenario cannot exist).
+
+The main, stable order-3 and weight chains share one sandwich,
+    l_1^mid + 2*T  >=  (a count from Fix G)  >=  2*T - slack,
+with T = gmodule.free_torsion_rank(cp, mid) and the two block-count
+conditions of gmodule.vanishing_conditions among the hypotheses;
+`_chain_report` states it once for all three, and `weight_solve` reads
+its ends from the same helpers.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .gmodule import (
     JordanProfile,
     UnsupportedPrime,
     _is_prime,
+    free_torsion_rank,
+    vanishing_conditions,
 )
 from .lattice_core import NonIntegralResult
 from .toric_weight import WeightValue, canonical_exponents, point_type, weight_lookup
@@ -395,8 +404,9 @@ def pushforward_discriminant(cp: CohomologyProfile, n: int) -> tuple[int, int]:
     return exponent, exponent // 2
 
 
-def _etsi_bounds(cp: CohomologyProfile) -> tuple[int, int]:
-    return 0, cp.l1(cp.dimension) // 2
+def _etsi_bounds(cp: CohomologyProfile) -> tuple[int, int | None]:
+    """alpha_mid lies in [0, l_1^mid / 2] on torsion-free cohomology."""
+    return (0, cp.l1(cp.dimension) // 2) if cp.torsion_free else (0, None)
 
 
 def check_simple_criteria(cp: CohomologyProfile, k: int) -> NormalityReport:
@@ -425,7 +435,7 @@ def check_simple_criteria(cp: CohomologyProfile, k: int) -> NormalityReport:
             hypotheses=(*hyps, ("l1_vanishes", False), ("middle_l1_is_one", True)),
             alpha_bounds=(0, 0),
         )
-    bounds = _etsi_bounds(cp) if (k == cp.dimension and cp.torsion_free) else (0, None)
+    bounds = _etsi_bounds(cp) if k == cp.dimension else (0, None)
     return NormalityReport(
         degree=k,
         verdict=UNKNOWN,
@@ -433,36 +443,6 @@ def check_simple_criteria(cp: CohomologyProfile, k: int) -> NormalityReport:
         hypotheses=(*hyps, ("l1_vanishes", False), ("middle_l1_is_one", False)),
         alpha_bounds=bounds,
     )
-
-
-def _u_torsion_rank(cp: CohomologyProfile) -> int:
-    """p-torsion rank of the middle cohomology of the regular-locus quotient.
-
-    For middle degree 2m this is sum_(i<m) l_(p-1)^(2i+1) + l_1^(2i); the
-    odd-degree variant shifts the parities.
-    """
-    n = cp.dimension
-    if n % 2 == 0:
-        m = n // 2
-        return sum(cp.l_pm1(2 * i + 1) + cp.l1(2 * i) for i in range(m))
-    m = (n - 1) // 2
-    return sum(cp.l_pm1(2 * i) for i in range(m + 1)) + sum(cp.l1(2 * i + 1) for i in range(m))
-
-
-def _vanishing_hypotheses(cp: CohomologyProfile) -> tuple[bool, bool]:
-    """The two block-count vanishing conditions used by every main chain.
-
-    Even degrees up to the middle must have no size-(p-1) blocks; odd
-    degrees below the middle must have no size-1 blocks (waived on
-    surfaces).  p = 2 reads the sign split as usual.
-    """
-    dim = cp.dimension
-    iv = all(cp.l_pm1(d) == 0 for d in range(2, dim + 1, 2))
-    if dim <= 2:
-        v = True
-    else:
-        v = all(cp.l1(d) == 0 for d in range(1, dim, 2))
-    return iv, v
 
 
 def _types_all_one(fix: FixedLocusSummary, p: int) -> bool:
@@ -475,48 +455,71 @@ def _types_all_one(fix: FixedLocusSummary, p: int) -> bool:
     return True
 
 
-def _finish_chain_report(
-    degree: int,
+def _chain_ends(cp: CohomologyProfile, slack: int = 0) -> tuple[int, int, int]:
+    """(l_1^mid, l_1^mid + 2*T, 2*T - slack): discr exponent and sandwich ends."""
+    disc_log = cp.l1(cp.dimension)
+    twice_t = 2 * free_torsion_rank(cp, cp.dimension)
+    return disc_log, disc_log + twice_t, twice_t - slack
+
+
+def _chain_hypotheses(cp: CohomologyProfile, own: list[tuple[str, bool]]) -> list[tuple[str, bool]]:
+    """Torsion-freeness, a chain's own hypotheses, then the vanishing conditions."""
+    even_ok, odd_ok = vanishing_conditions(cp, cp.dimension)
+    return [
+        ("torsion_free_cohomology", cp.torsion_free),
+        *own,
+        ("no_size_pm1_blocks_in_even_degrees", even_ok),
+        ("no_size_1_blocks_in_odd_degrees", odd_ok),
+    ]
+
+
+def _chain_report(
+    cp: CohomologyProfile,
     criterion: str,
     hyps: list[tuple[str, bool]],
-    left: int,
     middle: int,
-    right: int,
-    disc_log: int,
-    etsi: tuple[int, int],
+    slack: int = 0,
     notes: tuple[str, ...] = (),
+    unmet_facts: tuple | list = (),
 ) -> NormalityReport:
-    """Common tail: parity, sandwich, then Normal iff the top is attained."""
-    parity_ok = (disc_log - middle) % 2 == 0
-    if not parity_ok:
+    """The middle-degree sandwich l_1^mid + 2*T >= middle >= 2*T - slack.
+
+    hyps are the chain's own hypotheses; torsion-freeness and the vanishing
+    conditions are added around them, and criterion gains " (p=2 split)"
+    for p = 2.  If any hypothesis fails, the verdict is Unknown with the
+    chain left unchecked and unmet_facts appended.  Otherwise the parity
+    of l_1^mid - middle and the sandwich must hold (HypothesisFailed: no
+    such scenario exists), and the verdict is Normal exactly when middle
+    reaches the top.
+    """
+    hyps = _chain_hypotheses(cp, hyps)
+    disc_log, left, right = _chain_ends(cp, slack)
+    common = dict(
+        degree=cp.dimension,
+        criterion_used=criterion + (" (p=2 split)" if cp.p == 2 else ""),
+        inequality_chain=(left, middle, right),
+    )
+    if not all(ok for _, ok in hyps):
+        return NormalityReport(
+            verdict=UNKNOWN, hypotheses=(*hyps, *unmet_facts), alpha_bounds=_etsi_bounds(cp), **common
+        )
+    if (disc_log - middle) % 2:
         raise HypothesisFailed(
             "parity", f"{disc_log} and {middle} differ by an odd number; no such scenario exists"
         )
-    if middle > left or middle < right:
+    if not left >= middle >= right:
         raise HypothesisFailed(
             "inequality_chain",
             f"{left} >= {middle} >= {right} fails; no such scenario exists",
         )
-    if middle == left:
-        return NormalityReport(
-            degree=degree,
-            verdict=NORMAL,
-            criterion_used=criterion,
-            hypotheses=tuple(hyps),
-            alpha_bounds=(0, 0),
-            parity_ok=True,
-            inequality_chain=(left, middle, right),
-            notes=notes,
-        )
+    normal = middle == left
     return NormalityReport(
-        degree=degree,
-        verdict=UNKNOWN,
-        criterion_used=criterion,
+        verdict=NORMAL if normal else UNKNOWN,
         hypotheses=tuple(hyps),
-        alpha_bounds=etsi,
+        alpha_bounds=(0, 0) if normal else _etsi_bounds(cp),
         parity_ok=True,
-        inequality_chain=(left, middle, right),
         notes=notes,
+        **common,
     )
 
 
@@ -532,41 +535,13 @@ def check_theorem_main(cp: CohomologyProfile, fix: FixedLocusSummary) -> Normali
     variant (odd Betti sums of Fix) is implemented but exercised by no
     catalog scenario.
     """
-    p = cp.p
-    _require_supported(p)
-    dim = cp.dimension
-    status, neg_facts = negligibility(fix, dim)
-    hyps = [
-        ("torsion_free_cohomology", cp.torsion_free),
+    _require_supported(cp.p)
+    status, neg_facts = negligibility(fix, cp.dimension)
+    own = [
         (f"fix_negligible_or_almost_negligible ({status})", status != "none"),
-        ("all_fixed_points_type_1", _types_all_one(fix, p)),
+        ("all_fixed_points_type_1", _types_all_one(fix, cp.p)),
     ]
-    iv, v = _vanishing_hypotheses(cp)
-    hyps.append(("no_size_pm1_blocks_in_even_degrees", iv))
-    hyps.append(("no_size_1_blocks_in_odd_degrees", v))
-    criterion = "main chain" + (" (p=2 split)" if p == 2 else "")
-    disc_log = cp.l1(dim)
-    t_rank = _u_torsion_rank(cp)
-    h_fix = fix.h2star_eps(dim)
-    if not all(ok for _, ok in hyps):
-        return NormalityReport(
-            degree=dim,
-            verdict=UNKNOWN,
-            criterion_used=criterion,
-            hypotheses=(*hyps, *neg_facts),
-            alpha_bounds=_etsi_bounds(cp) if cp.torsion_free else (0, None),
-            inequality_chain=(disc_log + 2 * t_rank, h_fix, 2 * t_rank),
-        )
-    return _finish_chain_report(
-        degree=dim,
-        criterion=criterion,
-        hyps=hyps,
-        left=disc_log + 2 * t_rank,
-        middle=h_fix,
-        right=2 * t_rank,
-        disc_log=disc_log,
-        etsi=_etsi_bounds(cp),
-    )
+    return _chain_report(cp, "main chain", own, fix.h2star_eps(cp.dimension), unmet_facts=neg_facts)
 
 
 def blowup_update(
@@ -678,35 +653,13 @@ def check_th3(cp: CohomologyProfile, fix: FixedLocusSummary) -> NormalityReport:
             raise NotStable(f"at most one borderline piece allowed, found eps={eps}, eta={eta}")
     else:
         raise NotStable("type-1 part of the fixed locus is neither negligible nor almost negligible")
-    iv, v = _vanishing_hypotheses(cp)
-    hyps = [
-        ("torsion_free_cohomology", cp.torsion_free),
-        (f"fixed_locus_stable (n2={n2}, eps={eps}, eta={eta})", True),
-        ("no_size_pm1_blocks_in_even_degrees", iv),
-        ("no_size_1_blocks_in_odd_degrees", v),
-    ]
-    disc_log = cp.l1(dim)
-    t_rank = _u_torsion_rank(cp)
-    h_fix = fix.h2star
     slack = n2 + eps + 2 * eta
-    if not all(ok for _, ok in hyps):
-        return NormalityReport(
-            degree=dim,
-            verdict=UNKNOWN,
-            criterion_used="stable order-3 chain",
-            hypotheses=tuple(hyps),
-            alpha_bounds=_etsi_bounds(cp) if cp.torsion_free else (0, None),
-            inequality_chain=(disc_log + 2 * t_rank, h_fix, 2 * t_rank - slack),
-        )
-    return _finish_chain_report(
-        degree=dim,
-        criterion="stable order-3 chain",
-        hyps=hyps,
-        left=disc_log + 2 * t_rank,
-        middle=h_fix,
-        right=2 * t_rank - slack,
-        disc_log=disc_log,
-        etsi=_etsi_bounds(cp),
+    return _chain_report(
+        cp,
+        "stable order-3 chain",
+        [(f"fixed_locus_stable (n2={n2}, eps={eps}, eta={eta})", True)],
+        fix.h2star,
+        slack=slack,
         notes=(f"blow-up slack n2+eps+2*eta = {slack}",),
     )
 
@@ -720,46 +673,20 @@ def check_maintori(cp: CohomologyProfile, fix: FixedLocusSummary) -> NormalityRe
     with equality on the left equivalent to H^mid-normality.  Unknown or
     weight-2 points abort, since the sandwich then loses its conclusion.
     """
-    p = cp.p
-    _require_supported(p)
-    dim = cp.dimension
-    if dim % 2:
+    _require_supported(cp.p)
+    if cp.dimension % 2:
         raise ValueError("even complex dimension required")
     if not fix.weights_known():
         unknown = [pt.local.exponents for pt in fix.isolated if pt.weight.exact is None]
         raise WeightUnknown(f"weights not pinned for {unknown}")
     if any(pt.weight.exact == 2 for pt in fix.isolated):
         raise WeightTwoPresent("a weight-2 point voids the normality conclusion")
-    iv, v = _vanishing_hypotheses(cp)
-    hyps = [
-        ("torsion_free_cohomology", cp.torsion_free),
-        ("fix_finite", fix.is_finite),
-        ("no_weight_2_points", True),
-        ("no_size_pm1_blocks_in_even_degrees", iv),
-        ("no_size_1_blocks_in_odd_degrees", v),
-    ]
-    disc_log = cp.l1(dim)
-    t_rank = _u_torsion_rank(cp)
     w_sum = fix.weight_sum()
-    criterion = "weight chain" + (" (p=2 split)" if p == 2 else "")
-    if not all(ok for _, ok in hyps):
-        return NormalityReport(
-            degree=dim,
-            verdict=UNKNOWN,
-            criterion_used=criterion,
-            hypotheses=tuple(hyps),
-            alpha_bounds=_etsi_bounds(cp) if cp.torsion_free else (0, None),
-            inequality_chain=(disc_log + 2 * t_rank, w_sum, 2 * t_rank),
-        )
-    return _finish_chain_report(
-        degree=dim,
-        criterion=criterion,
-        hyps=hyps,
-        left=disc_log + 2 * t_rank,
-        middle=w_sum,
-        right=2 * t_rank,
-        disc_log=disc_log,
-        etsi=_etsi_bounds(cp),
+    return _chain_report(
+        cp,
+        "weight chain",
+        [("fix_finite", fix.is_finite), ("no_weight_2_points", True)],
+        w_sum,
         notes=(f"sum of weights over {fix.point_count} points = {w_sum}",),
     )
 
@@ -795,20 +722,9 @@ def weight_solve(cp: CohomologyProfile, fix: FixedLocusSummary) -> WeightSolutio
     _require_supported(p)
     if p == 2:
         raise UnsupportedPrime("the weight sandwich is stated for odd primes")
-    dim = cp.dimension
-    if dim % 2:
+    if cp.dimension % 2:
         raise ValueError("even complex dimension required")
-    iv, v = _vanishing_hypotheses(cp)
-    failed = [
-        name
-        for name, ok in [
-            ("torsion_free_cohomology", cp.torsion_free),
-            ("fix_finite", fix.is_finite),
-            ("no_size_pm1_blocks_in_even_degrees", iv),
-            ("no_size_1_blocks_in_odd_degrees", v),
-        ]
-        if not ok
-    ]
+    failed = [name for name, ok in _chain_hypotheses(cp, [("fix_finite", fix.is_finite)]) if not ok]
     if failed:
         raise HypothesisFailed(failed[0], "weight constraints unavailable")
     groups: dict[tuple[int, ...], tuple[int, int, int]] = {}
@@ -820,9 +736,7 @@ def weight_solve(cp: CohomologyProfile, fix: FixedLocusSummary) -> WeightSolutio
             raise Infeasible(f"conflicting declared weights for type {key}")
         groups[key] = (mult + pt.multiplicity, lo, hi)
     keys = sorted(groups)
-    disc_log = cp.l1(dim)
-    t_rank = _u_torsion_rank(cp)
-    lower, upper = 2 * t_rank, disc_log + 2 * t_rank
+    disc_log, upper, lower = _chain_ends(cp)
     ranges = [range(groups[k][1], groups[k][2] + 1) for k in keys]
     feasible: list[tuple[int, ...]] = []
     for combo in itertools.product(*ranges):
@@ -893,7 +807,7 @@ def check_surface(
         verdict=UNKNOWN,
         criterion_used="simply connected surface count",
         hypotheses=tuple(hyps),
-        alpha_bounds=_etsi_bounds(cp) if cp.torsion_free else (0, None),
+        alpha_bounds=_etsi_bounds(cp),
     )
 
 

@@ -38,6 +38,7 @@ from .normality import (
     NORMAL,
     FixedComponent,
     FixedLocusSummary,
+    FixedPointLocal,
     NormalityReport,
     betti_quotient,
     check_maintori,
@@ -61,6 +62,7 @@ from .toric_weight import WeightValue
 __all__ = [
     "KINDS",
     "ROUTES",
+    "ROUTE_TABLE",
     "SchemaError",
     "ConsistencyError",
     "UnknownScenario",
@@ -75,7 +77,6 @@ __all__ = [
 ]
 
 KINDS = ("surface", "torus", "fourfold", "reference", "counterexample")
-ROUTES = ("surface", "main", "th3", "weights", "simple", "descent", "s_lattice", "declared")
 
 # S^[2]-type fourfolds: the cokernel of Sym^2 H^2 -> H^4 over Z has only
 # 2- and 5-torsion, so symmetric-square descent is available away from those.
@@ -154,6 +155,22 @@ def _expect(record, key, path, types, required=True, default=None):
     return value
 
 
+def _int_key(key, path):
+    """A degree key of a JSON object, which JSON spells as a string."""
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError(path, "keys must be integers") from None
+
+
+def _objects(record, key, path):
+    """(item path, item) for each entry of an optional list of objects."""
+    for i, item in enumerate(_expect(record, key, path, list, required=False, default=[])):
+        if not isinstance(item, dict):
+            raise SchemaError(f"{path}.{key}[{i}]", f"expected an object, got {type(item).__name__}")
+        yield f"{path}.{key}[{i}]", item
+
+
 def _int_matrix(value, path):
     if not isinstance(value, list) or not value:
         raise SchemaError(path, "expected a nonempty list of rows")
@@ -194,7 +211,7 @@ def _parse_degree_profile(p, value, path, degrees):
     if not isinstance(value, dict):
         raise SchemaError(path, "each degree must be an object")
     if "sym2_of" in value:
-        src = value["sym2_of"]
+        src = _expect(value, "sym2_of", path, int)
         if src not in degrees:
             raise SchemaError(f"{path}.sym2_of", f"degree {src} not declared before use")
         return sym2_profile(degrees[src])
@@ -219,12 +236,7 @@ def _parse_profile(p, dimension, record, path):
     torsion_free = _expect(record, "torsion_free", path, bool, required=False, default=True)
     raw = _expect(record, "degrees", path, dict)
     degrees: dict[int, JordanProfile] = {}
-    keyed = []
-    for key in raw:
-        try:
-            keyed.append((int(key), key))
-        except ValueError:
-            raise SchemaError(f"{path}.degrees.{key}", "degree keys must be integers") from None
+    keyed = [(_int_key(key, f"{path}.degrees.{key}"), key) for key in raw]
     for k, key in sorted(keyed):
         if not 1 <= k <= dimension:
             raise SchemaError(
@@ -253,8 +265,7 @@ def _parse_weight(value, path):
 
 def _parse_fixed_locus(p, record, path):
     isolated = []
-    for i, item in enumerate(_expect(record, "isolated", path, list, required=False, default=[])):
-        ipath = f"{path}.isolated[{i}]"
+    for ipath, item in _objects(record, "isolated", path):
         exps = _expect(item, "exponents", ipath, list)
         if not all(isinstance(x, int) for x in exps):
             raise SchemaError(f"{ipath}.exponents", "expected integers")
@@ -265,14 +276,12 @@ def _parse_fixed_locus(p, record, path):
         except Exception as exc:
             raise SchemaError(ipath, str(exc)) from exc
     components = []
-    for i, item in enumerate(_expect(record, "components", path, list, required=False, default=[])):
-        cpath = f"{path}.components[{i}]"
-        local = None
-        if item.get("exponents") is not None:
-            from .normality import FixedPointLocal
-
-            local = FixedPointLocal(p, tuple(item["exponents"]))
+    for cpath, item in _objects(record, "components", path):
+        exps = _expect(item, "exponents", cpath, (list, type(None)), required=False)
+        if exps is not None and not all(isinstance(x, int) for x in exps):
+            raise SchemaError(f"{cpath}.exponents", "expected integers")
         try:
+            local = None if exps is None else FixedPointLocal(p, tuple(exps))
             components.append(
                 FixedComponent(
                     dimension=_expect(item, "dimension", cpath, int),
@@ -316,15 +325,15 @@ def _parse_expected(record, path, name):
     for key, v in _expect(record, "verdicts", path, dict, required=False, default={}).items():
         if v not in ("Normal", "NotNormal", "Unknown"):
             raise SchemaError(f"{path}.verdicts.{key}", f"bad verdict {v!r}")
-        verdicts[int(key)] = v
+        verdicts[_int_key(key, f"{path}.verdicts.{key}")] = v
     alpha = {}
     for key, v in _expect(record, "alpha", path, dict, required=False, default={}).items():
         if not isinstance(v, list) or len(v) != 2:
             raise SchemaError(f"{path}.alpha.{key}", "expected [lo, hi]")
-        alpha[int(key)] = (v[0], v[1])
+        alpha[_int_key(key, f"{path}.alpha.{key}")] = (v[0], v[1])
     quotient = record.get("quotient")
     exact = record.get("quotient_exact_gram")
-    betti = record.get("betti")
+    betti = _expect(record, "betti", path, (list, type(None)), required=False)
     return Expected(
         quotient=None if quotient is None else _parse_lattice(quotient, f"{path}.quotient", name=f"{name}/G"),
         quotient_exact_gram=None if exact is None else _int_matrix(exact, f"{path}.quotient_exact_gram"),
@@ -338,6 +347,8 @@ def _parse_expected(record, path, name):
 
 
 def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
+    if not isinstance(record, dict):
+        raise SchemaError(path, f"expected an object, got {type(record).__name__}")
     name = _expect(record, "name", path, str)
     kind = _expect(record, "kind", path, str)
     if kind not in KINDS:
@@ -348,12 +359,10 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
     if not all(isinstance(a, str) for a in aliases):
         raise SchemaError(f"{path}.aliases", "aliases must be strings")
 
-    profile = None
-    if record.get("cohomology") is not None:
-        profile = _parse_profile(p, dim, record["cohomology"], f"{path}.cohomology")
-    fixed = None
-    if record.get("fixed_locus") is not None:
-        fixed = _parse_fixed_locus(p, record["fixed_locus"], f"{path}.fixed_locus")
+    cohomology = _expect(record, "cohomology", path, (dict, type(None)), required=False)
+    profile = None if cohomology is None else _parse_profile(p, dim, cohomology, f"{path}.cohomology")
+    fixed_locus = _expect(record, "fixed_locus", path, (dict, type(None)), required=False)
+    fixed = None if fixed_locus is None else _parse_fixed_locus(p, fixed_locus, f"{path}.fixed_locus")
     invariant = None
     if record.get("invariant_lattice") is not None:
         invariant = _parse_lattice(record["invariant_lattice"], f"{path}.invariant_lattice", name=name)
@@ -362,12 +371,12 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
     for key, route in _expect(record, "routes", path, dict, required=False, default={}).items():
         if route not in ROUTES:
             raise SchemaError(f"{path}.routes.{key}", f"expected one of {ROUTES}, got {route!r}")
-        k = int(key)
+        k = _int_key(key, f"{path}.routes.{key}")
         if not 1 <= k <= 2 * dim:
             raise SchemaError(f"{path}.routes.{key}", f"degree out of range 1..{2 * dim}")
         routes[k] = route
 
-    torsion = record.get("sym2_cokernel_torsion")
+    torsion = _expect(record, "sym2_cokernel_torsion", path, (list, type(None)), required=False)
     scenario = Scenario(
         name=name,
         kind=kind,
@@ -382,7 +391,9 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
         glue=_parse_glue(record.get("glue"), f"{path}.glue"),
         routes=routes,
         sym2_cokernel_torsion=None if torsion is None else tuple(torsion),
-        expected=_parse_expected(record.get("expected", {}), f"{path}.expected", name),
+        expected=_parse_expected(
+            _expect(record, "expected", path, dict, required=False, default={}), f"{path}.expected", name
+        ),
         notes=tuple(_expect(record, "notes", path, list, required=False, default=[])),
     )
     _check_consistency(scenario)
@@ -523,27 +534,27 @@ def _route_declared(s: Scenario, k: int) -> NormalityReport:
     )
 
 
+# route -> certificate for degree k of scenario s, given the reports of the
+# higher degrees; the lambdas look the checkers up when called, so a wrapper
+# installed on this module's names sees every call
+ROUTE_TABLE = {
+    "surface": lambda s, k, reports: check_surface(s.profile, s.fixed_locus),
+    "main": lambda s, k, reports: check_theorem_main(s.profile, s.fixed_locus),
+    "th3": lambda s, k, reports: check_th3(s.profile, s.fixed_locus),
+    "weights": lambda s, k, reports: check_maintori(s.profile, s.fixed_locus),
+    "simple": lambda s, k, reports: check_simple_criteria(s.profile, k),
+    "descent": lambda s, k, reports: _route_descent(s, k, reports),
+    "s_lattice": lambda s, k, reports: _route_s_lattice(s, k, reports),
+    "declared": lambda s, k, reports: _route_declared(s, k),
+}
+ROUTES = tuple(ROUTE_TABLE)
+
+
 def run_normality(s: Scenario) -> dict[int, NormalityReport]:
     """Run every routed certificate; higher degrees first so descent can feed."""
     reports: dict[int, NormalityReport] = {}
     for k in sorted(s.routes, reverse=True):
-        route = s.routes[k]
-        if route == "surface":
-            reports[k] = check_surface(s.profile, s.fixed_locus)
-        elif route == "main":
-            reports[k] = check_theorem_main(s.profile, s.fixed_locus)
-        elif route == "th3":
-            reports[k] = check_th3(s.profile, s.fixed_locus)
-        elif route == "weights":
-            reports[k] = check_maintori(s.profile, s.fixed_locus)
-        elif route == "simple":
-            reports[k] = check_simple_criteria(s.profile, k)
-        elif route == "descent":
-            reports[k] = _route_descent(s, k, reports)
-        elif route == "s_lattice":
-            reports[k] = _route_s_lattice(s, k, reports)
-        elif route == "declared":
-            reports[k] = _route_declared(s, k)
+        reports[k] = ROUTE_TABLE[s.routes[k]](s, k, reports)
     return reports
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
+from .lattice_core import _p_power_log
 
 Vec2 = tuple[int, int]
 
@@ -246,16 +247,6 @@ _CASE_TABLE = {
 }
 
 
-def _log_p(value: int, p: int) -> int:
-    k = 0
-    while value % p == 0:
-        value //= p
-        k += 1
-    if value != 1:
-        raise ClassificationFailure(f"discriminant {value * p ** k} is not a power of {p}")
-    return k
-
-
 def _weight_from_fan(fan: Fan2D, p: int, q: int) -> WeightDim2Result:
     rays = fan.rays
     n = len(rays)
@@ -316,7 +307,11 @@ def _weight_from_fan(fan: Fan2D, p: int, q: int) -> WeightDim2Result:
         raise ClassificationFailure(f"relative H^3 torsion {tors_u} is not p-elementary")
     rktor = len(tors_u)
 
-    key = (_log_p(d_prime, p), _log_p(d_bar, p), rktor)
+    logs = [_p_power_log(d, p) for d in (d_prime, d_bar)]
+    for d, e in zip((d_prime, d_bar), logs):
+        if e is None:
+            raise ClassificationFailure(f"discriminant {d} is not a power of {p}")
+    key = (*logs, rktor)
     case = _CASE_TABLE.get(key)
     if case is None:
         raise ClassificationFailure(f"data {key} matches no admissible case")

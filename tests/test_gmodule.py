@@ -31,6 +31,7 @@ from quotlat import (
 from quotlat.gmodule import (
     SUPPORTED_PRIMES,
     GModuleError,
+    HypothesesNotMet,
     NotAnOrderPAction,
     UnsupportedPrime,
     averaged_form,
@@ -218,6 +219,13 @@ def test_a_invariant_raises_on_profile_disagreement(monkeypatch):
         a_invariant(act)
 
 
+def test_a_invariant_raises_on_index_outside_p_powers(monkeypatch):
+    act = reiner_action(5, (1, 1, 1))
+    monkeypatch.setattr(la, "det_bareiss", lambda rows: 10)
+    with pytest.raises(GModuleError, match="not a p-power"):
+        a_invariant(act)
+
+
 # ---------------------------------------------------------------- sym2
 
 
@@ -379,3 +387,40 @@ def test_free_quotient_cohomology_frozen():
     assert (h3.free_rank, h3.torsion) == (0, ())
     h4 = free_quotient_cohomology(cp, 4)
     assert (h4.free_rank, h4.torsion) == (102, (3,) * 6)
+
+
+def _p2_profile(plus, minus, free):
+    return JordanProfile(2, (0, plus + minus, free), plus_rank=plus, minus_rank=minus)
+
+
+# Threefolds given by degrees 1..3 (4 and 5 mirror 2 and 1).  "p3_odd_l1"
+# breaks the odd vanishing condition, "p2_even_minus" the even one.
+DIM3_PROFILES = {
+    "p3": (3, [JordanProfile(3, b) for b in ((0, 0, 1, 0), (0, 2, 0, 1), (0, 0, 2, 1))]),
+    "p3_odd_l1": (3, [JordanProfile(3, b) for b in ((0, 1, 1, 0), (0, 2, 0, 1), (0, 0, 2, 1))]),
+    "p2_even_minus": (2, [_p2_profile(1, 0, 0), _p2_profile(1, 1, 1), _p2_profile(0, 2, 1)]),
+}
+
+# (free rank, number of Z/p summands) of H^0..H^6, None where
+# HypothesesNotMet is raised.
+DIM3_QUOTIENTS = {
+    ("p3", False): [(1, 0), (0, 0), (3, 2), (1, 0), (3, 6), (0, 0), (1, 9)],
+    ("p3", True): [(1, 0), (0, 0), (3, 2), (1, 0), (3, 6), (0, 0), (1, 9)],
+    ("p3_odd_l1", False): [(1, 0), (1, 0), (3, 2), (1, 0), None, None, None],
+    ("p3_odd_l1", True): [(1, 0), (1, 0), (3, 2), (1, 1), (3, 6), (1, 1), (1, 9)],
+    ("p2_even_minus", False): [(1, 0), (1, 0), None, None, None, None, None],
+    ("p2_even_minus", True): [(1, 0), (1, 0), (2, 1), (1, 2), (2, 4), (1, 3), (1, 5)],
+}
+
+
+@pytest.mark.parametrize("name, degenerate", sorted(DIM3_QUOTIENTS))
+def test_free_quotient_cohomology_dim3_frozen(name, degenerate):
+    p, (d1, d2, d3) = DIM3_PROFILES[name]
+    cp = CohomologyProfile.from_degrees(p, 3, {1: d1, 2: d2, 3: d3, 4: d2, 5: d1})
+    for k, want in enumerate(DIM3_QUOTIENTS[name, degenerate]):
+        if want is None:
+            with pytest.raises(HypothesesNotMet):
+                free_quotient_cohomology(cp, k, e2_degenerate_over_z=degenerate)
+            continue
+        group = free_quotient_cohomology(cp, k, e2_degenerate_over_z=degenerate)
+        assert (group.free_rank, group.torsion) == (want[0], (p,) * want[1])

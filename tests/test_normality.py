@@ -1,5 +1,7 @@
 """Normality certificates: chains, weights, counts, Betti numbers."""
 
+from dataclasses import replace
+
 import pytest
 
 from quotlat import (
@@ -171,6 +173,203 @@ def test_simple_criteria_strings(by_name):
     rep = check_simple_criteria(by_name["M11a"].profile, 4)
     assert rep.verdict == NORMAL
     assert rep.criterion_used == "middle degree with l_1 = 1"
+
+
+# ---------------------------------------------------------------- pinned chain reports
+
+
+def _recount(fix, delta):
+    """fix with delta points added to its first group of isolated points."""
+    first, *rest = fix.isolated
+    return replace(fix, isolated=(replace(first, multiplicity=first.multiplicity + delta), *rest))
+
+
+def _odd_size_1_blocks(cp):
+    """cp with two more size-1 blocks in each odd degree next to the middle."""
+    profiles = list(cp.profiles)
+    for d in (cp.dimension - 1, cp.dimension + 1):
+        blocks = list(profiles[d].blocks)
+        blocks[1] += 2
+        profiles[d] = JordanProfile(cp.p, tuple(blocks))
+    return replace(cp, profiles=tuple(profiles))
+
+
+CHAIN_MUTATIONS = {
+    "as_declared": lambda cp, fix: (cp, fix),
+    "torsion_in_x": lambda cp, fix: (replace(cp, torsion_free=False), fix),
+    "torsion_in_fix": lambda cp, fix: (cp, replace(fix, torsion_free=False)),
+    "odd_size_1_blocks": lambda cp, fix: (_odd_size_1_blocks(cp), fix),
+    "one_point_less": lambda cp, fix: (cp, _recount(fix, -1)),
+    "two_points_more": lambda cp, fix: (cp, _recount(fix, 2)),
+}
+
+# Full report text of each sandwich checker; a (name, message) pair stands
+# for the HypothesisFailed the input must raise.
+CHAIN_CASES = [
+    (
+        "check_theorem_main", "Abar", "as_declared",
+        [
+            "H^2: Normal  (main chain (p=2 split); alpha in [0, 0])",
+            "  chain 16 >= 16 >= 10; parity holds",
+            "  [x] torsion_free_cohomology",
+            "  [x] fix_negligible_or_almost_negligible (negligible)",
+            "  [x] all_fixed_points_type_1",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+        ],
+    ),
+    (
+        "check_theorem_main", "Abar", "torsion_in_x",
+        [
+            "H^2: Unknown  (main chain (p=2 split); alpha in [0, ?])",
+            "  chain 16 >= 16 >= 10; parity not checked",
+            "  [ ] torsion_free_cohomology",
+            "  [x] fix_negligible_or_almost_negligible (negligible)",
+            "  [x] all_fixed_points_type_1",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+            "  [x] fix_cohomology_torsion_free",
+            "  [x] codim_at_least_half_plus_one",
+        ],
+    ),
+    (
+        "check_theorem_main", "Abar", "torsion_in_fix",
+        [
+            "H^2: Unknown  (main chain (p=2 split); alpha in [0, 3])",
+            "  chain 16 >= 16 >= 10; parity not checked",
+            "  [x] torsion_free_cohomology",
+            "  [ ] fix_negligible_or_almost_negligible (none)",
+            "  [x] all_fixed_points_type_1",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+            "  [ ] fix_cohomology_torsion_free",
+            "  [x] codim_at_least_half_plus_one",
+        ],
+    ),
+    (
+        "check_theorem_main", "Abar", "one_point_less",
+        ("parity", "6 and 15 differ by an odd number; no such scenario exists"),
+    ),
+    (
+        "check_theorem_main", "Abar", "two_points_more",
+        ("inequality_chain", "16 >= 18 >= 10 fails; no such scenario exists"),
+    ),
+    (
+        "check_th3", "M3", "as_declared",
+        [
+            "H^4: Normal  (stable order-3 chain; alpha in [0, 0])",
+            "  chain 27 >= 27 >= -15; parity holds",
+            "  [x] torsion_free_cohomology",
+            "  [x] fixed_locus_stable (n2=27, eps=0, eta=0)",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+            "  note: blow-up slack n2+eps+2*eta = 27",
+        ],
+    ),
+    (
+        "check_th3", "M3", "torsion_in_x",
+        [
+            "H^4: Unknown  (stable order-3 chain; alpha in [0, ?])",
+            "  chain 27 >= 27 >= -15; parity not checked",
+            "  [ ] torsion_free_cohomology",
+            "  [x] fixed_locus_stable (n2=27, eps=0, eta=0)",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+        ],
+    ),
+    (
+        "check_th3", "M3", "odd_size_1_blocks",
+        [
+            "H^4: Unknown  (stable order-3 chain; alpha in [0, 7])",
+            "  chain 27 >= 27 >= -15; parity not checked",
+            "  [x] torsion_free_cohomology",
+            "  [x] fixed_locus_stable (n2=27, eps=0, eta=0)",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [ ] no_size_1_blocks_in_odd_degrees",
+        ],
+    ),
+    (
+        "check_th3", "M3", "one_point_less",
+        ("parity", "15 and 26 differ by an odd number; no such scenario exists"),
+    ),
+    (
+        "check_th3", "M3", "two_points_more",
+        ("inequality_chain", "27 >= 29 >= -17 fails; no such scenario exists"),
+    ),
+    (
+        "check_maintori", "M5", "as_declared",
+        [
+            "H^4: Normal  (weight chain; alpha in [0, 0])",
+            "  chain 14 >= 14 >= 8; parity holds",
+            "  [x] torsion_free_cohomology",
+            "  [x] fix_finite",
+            "  [x] no_weight_2_points",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+            "  note: sum of weights over 14 points = 14",
+        ],
+    ),
+    (
+        "check_maintori", "M5", "torsion_in_x",
+        [
+            "H^4: Unknown  (weight chain; alpha in [0, ?])",
+            "  chain 14 >= 14 >= 8; parity not checked",
+            "  [ ] torsion_free_cohomology",
+            "  [x] fix_finite",
+            "  [x] no_weight_2_points",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+        ],
+    ),
+    (
+        "check_maintori", "M5", "odd_size_1_blocks",
+        [
+            "H^4: Unknown  (weight chain; alpha in [0, 3])",
+            "  chain 14 >= 14 >= 8; parity not checked",
+            "  [x] torsion_free_cohomology",
+            "  [x] fix_finite",
+            "  [x] no_weight_2_points",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [ ] no_size_1_blocks_in_odd_degrees",
+        ],
+    ),
+    (
+        "check_maintori", "M5", "one_point_less",
+        ("parity", "6 and 13 differ by an odd number; no such scenario exists"),
+    ),
+    (
+        "check_maintori", "M5", "two_points_more",
+        ("inequality_chain", "14 >= 16 >= 8 fails; no such scenario exists"),
+    ),
+    (
+        "check_maintori", "NS3", "as_declared",
+        [
+            "H^4: Normal  (weight chain; alpha in [0, 0])",
+            "  chain 9 >= 9 >= 6; parity holds",
+            "  [x] torsion_free_cohomology",
+            "  [x] fix_finite",
+            "  [x] no_weight_2_points",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [x] no_size_1_blocks_in_odd_degrees",
+            "  note: sum of weights over 9 points = 9",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("checker, row, mutation, expected", CHAIN_CASES)
+def test_chain_report_text_is_pinned(by_name, checker, row, mutation, expected):
+    s = by_name[row]
+    cp, fix = CHAIN_MUTATIONS[mutation](s.profile, s.fixed_locus)
+    check = {f.__name__: f for f in (check_theorem_main, check_th3, check_maintori)}[checker]
+    if isinstance(expected, tuple):
+        name, message = expected
+        with pytest.raises(HypothesisFailed) as exc:
+            check(cp, fix)
+        assert exc.value.name == name
+        assert str(exc.value) == f"{name}: {message}"
+    else:
+        assert check(cp, fix).lines() == expected
 
 
 def test_propagate_power_descends_normality():

@@ -14,11 +14,13 @@ from quotlat import (
     run_normality,
     verify_scenario,
 )
+from quotlat.cli import main
 from quotlat.scenario import (
     ConsistencyError,
     SchemaError,
     UnknownScenario,
     catalog_dir,
+    scenario_from_record,
 )
 
 NAMES = [
@@ -130,3 +132,59 @@ def test_verify_scenario_rows(by_name):
         row = verify_scenario(by_name[name])
         assert row.passed, row.lines()
         assert any(name in line for line in row.lines())
+
+
+def _set(path, value):
+    """Record mutation that sets the field at a dotted path of keys."""
+
+    def mutate(rec):
+        *parents, last = path.split(".")
+        for key in parents:
+            rec = rec[key]
+        rec[last] = value
+
+    return mutate
+
+
+def _rekey(path, old, new):
+    """Record mutation that renames one key of the object at a dotted path."""
+
+    def mutate(rec):
+        for key in path.split("."):
+            rec = rec[key]
+        rec[new] = rec.pop(old)
+
+    return mutate
+
+
+MALFORMED = [
+    ("fixed_locus", _set("fixed_locus", [])),
+    ("expected", _set("expected", [])),
+    ("cohomology", _set("cohomology", 5)),
+    ("fixed_locus.isolated[0]", _set("fixed_locus.isolated", ["x"])),
+    ("fixed_locus.components[0]", _set("fixed_locus.components", [5])),
+    (
+        "fixed_locus.components[0].exponents",
+        _set("fixed_locus.components", [{"dimension": 1, "even_betti_sum": 2, "exponents": 3}]),
+    ),
+    ("expected.betti", _set("expected.betti", 2)),
+    ("sym2_cokernel_torsion", _set("sym2_cokernel_torsion", 2)),
+    ("routes.two", _rekey("routes", "2", "two")),
+    ("expected.verdicts.two", _rekey("expected.verdicts", "2", "two")),
+    ("expected.alpha.two", _set("expected.alpha", {"two": [0, 0]})),
+]
+
+
+@pytest.mark.parametrize("field, mutate", MALFORMED, ids=[f for f, _ in MALFORMED])
+def test_malformed_record_names_the_field(tmp_path, capsys, field, mutate):
+    rec = minimal_record()
+    mutate(rec)
+    with pytest.raises(SchemaError) as exc:
+        scenario_from_record(rec)
+    assert exc.value.path == f"scenario.{field}"
+    target = tmp_path / "broken.json"
+    target.write_text(json.dumps(rec))
+    assert main(["normality", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: broken.{field}: ")
+    assert "Traceback" not in err

@@ -108,6 +108,12 @@ def test_unsaturated_im_gbar_is_caught(monkeypatch, pq):
         weight_dim2(*pq)
 
 
+def test_discriminant_outside_p_powers_is_caught(monkeypatch):
+    monkeypatch.setattr(toric_weight, "_p_power_log", lambda value, p: None)
+    with pytest.raises(ClassificationFailure, match=r"discriminant \d+ is not a power of 5"):
+        weight_dim2(5, 2)
+
+
 def test_point_type_table():
     assert point_type(5, (0, 1)) == 0
     assert point_type(5, (2, 2)) == 1
