@@ -4,12 +4,14 @@ Everything here operates on plain ``list[list[int]]`` (or ``Fraction``)
 matrices and never touches floating point.  Elimination over Q has one
 fraction-free core, ``echelon_fraction_free``; ``det_bareiss``,
 ``rank_rational``, ``inv_rational``, ``solve_in_rowspan`` and
-``integer_coordinates`` wrap it.
+``integer_coordinates`` wrap it, and ``integer_coordinates`` is the one
+route to an integral solve (an integral inverse is the coordinates of I).
 Elimination over F_p has one core, ``echelon_mod_p``, behind
 ``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``.  The
-Smith normal form keeps the full transform quadruple (U, Uinv, V, Vinv)
-so callers can read off kernels, image lattices and saturations directly
-from unimodular coordinates.
+Smith normal form keeps the transforms U, V and V^-1, from which
+kernels and row-span bases are read off in unimodular coordinates.  The
+inertia of a symmetric matrix is read off its integer characteristic
+polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ def transpose(a) -> Matrix:
 def mat_mul(a, b) -> Matrix:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def vec_mat(v, a) -> list:
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
 
 
 def is_symmetric(a) -> bool:
@@ -326,7 +324,6 @@ class SNFResult:
     u: Matrix
     d: Matrix
     v: Matrix
-    uinv: Matrix
     vinv: Matrix
 
     @property
@@ -344,27 +341,21 @@ def smith_normal_form(a) -> SNFResult:
     m = len(a)
     n = len(a[0]) if m else 0
     d = mat_copy(a)
-    u, uinv = identity(m), identity(m)
+    u = identity(m)
     v, vinv = identity(n), identity(n)
 
     def row_swap(i, k):
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
-        for r in range(m):
-            uinv[r][i], uinv[r][k] = uinv[r][k], uinv[r][i]
 
     def row_add(i, k, c):
         # row_i += c * row_k
         d[i] = [x + c * y for x, y in zip(d[i], d[k])]
         u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-        for r in range(m):
-            uinv[r][k] -= c * uinv[r][i]
 
     def row_neg(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
 
     def col_swap(j, k):
         for r in range(m):
@@ -431,7 +422,7 @@ def smith_normal_form(a) -> SNFResult:
             row_add(t, fix, 1)
         if t < min(m, n) and d[t][t] < 0:
             row_neg(t)
-    return SNFResult(u=u, d=d, v=v, uinv=uinv, vinv=vinv)
+    return SNFResult(u=u, d=d, v=v, vinv=vinv)
 
 
 def elementary_divisors(a) -> list[int]:
@@ -456,12 +447,7 @@ def kernel_basis(a) -> Matrix:
 
 def image_basis(a) -> Matrix:
     """Basis (as rows) of the lattice A * Z^n, i.e. the column span over Z."""
-    res = smith_normal_form(a)
-    rows = []
-    for i, di in enumerate(res.diagonal):
-        if di:
-            rows.append([di * res.uinv[r][i] for r in range(len(a))])
-    return rows
+    return row_span_basis(transpose(a))
 
 
 def row_span_basis(a) -> Matrix:
@@ -474,48 +460,49 @@ def row_span_basis(a) -> Matrix:
     return rows
 
 
+def charpoly(a) -> list[int]:
+    """[1, c_1, ..., c_n] with det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n.
+
+    Faddeev-LeVerrier over the integers: M_1 = I, c_k = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_k I.  For an integer matrix every c_k is an
+    integer, so each division is exact; a remainder raises ArithmeticError.
+    """
+    n = len(a)
+    coeffs = [1]
+    m = identity(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError(f"tr(A M_{k}) is not divisible by {k}")
+        coeffs.append(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return coeffs
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def signature_exact(gram) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric integer matrix.
 
-    Exact rational symmetric elimination; a zero diagonal with a nonzero
-    off-diagonal entry is consumed as a hyperbolic 2x2 block contributing
-    (1, 1).
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs counts them exactly on the characteristic polynomial: the zero
+    eigenvalues are its trailing zero coefficients, the positive ones the
+    sign changes of p(x), the negative ones those of p(-x).  Raises
+    ValueError on a matrix that is not square and symmetric.
     """
-    n = len(gram)
-    a = {(i, j): Fraction(gram[i][j]) for i in range(n) for j in range(n)}
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        i0 = next((i for i in active if a[(i, i)]), None)
-        if i0 is not None:
-            pivot = a[(i0, i0)]
-            if pivot > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != i0]
-            for x in rest:
-                for y in rest:
-                    a[(x, y)] -= a[(x, i0)] * a[(i0, y)] / pivot
-            active = rest
-            continue
-        pair = None
-        for x in active:
-            for y in active:
-                if x < y and a[(x, y)]:
-                    pair = (x, y)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break  # remaining block is identically zero
-        i0, j0 = pair
-        b = a[(i0, j0)]
-        pos += 1
-        neg += 1
-        rest = [i for i in active if i not in (i0, j0)]
-        for x in rest:
-            for y in rest:
-                a[(x, y)] -= (a[(x, i0)] * a[(j0, y)] + a[(x, j0)] * a[(i0, y)]) / b
-        active = rest
-    return pos, neg, n - pos - neg
+    if not is_symmetric(gram):
+        raise ValueError("signature needs a square symmetric matrix")
+    coeffs = charpoly(gram)
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    pos = _sign_changes(coeffs)
+    neg = _sign_changes([-c if k % 2 else c for k, c in enumerate(coeffs)])
+    return pos, neg, zero

@@ -46,12 +46,13 @@ def _read_matrix(path: str) -> list[list[int]]:
         data = data.get("gram", data.get("matrix"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a JSON list of rows")
-    rows = []
     for row in data:
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        # type() and not isinstance(): JSON true and false are bools, not integers
+        if not isinstance(row, list) or not all(type(x) is int for x in row):
             raise ValueError(f"{path}: rows must be lists of integers")
-        rows.append([int(x) for x in row])
-    return rows
+    if not data[0] or any(len(row) != len(data[0]) for row in data):
+        raise ValueError(f"{path}: rows must be nonempty and of equal length")
+    return [list(row) for row in data]
 
 
 def _read_lattice(token: str) -> GramLattice:

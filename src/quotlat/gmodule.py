@@ -499,10 +499,12 @@ def _check_sym2_rank(profile: JordanProfile, out: JordanProfile) -> None:
 def conjugate(action: PrimeOrderAction, unimodular) -> PrimeOrderAction:
     """Change of basis: returns W^-1 phi W (gram transported if present)."""
     w = [list(r) for r in unimodular]
-    if abs(la.det_bareiss(w)) != 1:
+    try:
+        winv = la.integer_coordinates(w, la.identity(len(w)))
+    except ValueError:  # singular
+        winv = None
+    if winv is None:  # W^-1 is integral exactly when det W = +-1
         raise GModuleError("conjugating matrix must be unimodular")
-    winv_frac = la.inv_rational(w)
-    winv = [[int(x) for x in row] for row in winv_frac]
     phi = la.mat_mul(la.mat_mul(winv, action.phi_rows()), w)
     gram = None
     if action.gram is not None:

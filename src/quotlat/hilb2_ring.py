@@ -92,12 +92,15 @@ class HilbertSquare:
             gram = [list(r) for r in gram.gram_rows()]
         self.gram = [list(r) for r in gram]
         self.n = len(self.gram)
-        if abs(la.det_bareiss(self.gram)) != 1:
+        try:
+            mu = la.integer_coordinates(self.gram, la.identity(self.n))
+        except ValueError:  # singular
+            mu = None
+        if mu is None:  # G^-1 is integral exactly when det G = +-1
             raise ValueError("H^2(S) must be unimodular")
         if any(g % 2 for g in (self.gram[i][i] for i in range(self.n))):
             raise ValueError("H^2(S) must be even")
-        inv = la.inv_rational(self.gram)
-        self.mu = [[int(x) for x in row] for row in inv]
+        self.mu = mu
         # H^4 basis layout: sigma, q2(k), q1q1(k < m), m11(k)
         self._q2_at = 1
         self._pair_at = 1 + self.n

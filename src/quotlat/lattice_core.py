@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import _linalg as la
 
@@ -161,24 +160,22 @@ def dual_rescaled(lattice: GramLattice, p: int) -> GramLattice:
     """The lattice L^vee(p): dual basis Gram scaled by p.
 
     Requires the discriminant group of L to be p-elementary; then the result
-    is integral with |det| = p^(rank - a) where p^a = |A_L|.
+    is integral with |det| = p^(rank - a) where p^a = |A_L|.  A singular
+    Gram raises DegenerateForm.
     """
+    p_identity = [[p * x for x in row] for row in la.identity(lattice.rank)]
+    try:
+        scaled = la.integer_coordinates(lattice.gram_rows(), p_identity)  # rows c_j G = p e_j
+    except ValueError:
+        raise DegenerateForm("Gram matrix is degenerate") from None
     group = discriminant_group(lattice)
     if not group.is_p_elementary(p):
         raise NotPElementary(
             f"discriminant group {group} is not {p}-elementary"
         )
-    inv = la.inv_rational(lattice.gram_rows())
-    out = []
-    for row in inv:
-        new_row = []
-        for x in row:
-            y = Fraction(p) * x
-            if y.denominator != 1:
-                raise NonIntegralResult("p * G^-1 is not integral")
-            new_row.append(int(y))
-        out.append(new_row)
-    return GramLattice(_freeze(out))
+    if scaled is None:
+        raise NonIntegralResult("p * G^-1 is not integral")
+    return GramLattice(_freeze(scaled))
 
 
 def sublattice(lattice: GramLattice, rows) -> SublatticeEmbedding:
@@ -220,8 +217,7 @@ def overlattice_divide(lattice: GramLattice, vectors, p: int) -> GramLattice:
     for v in vecs:
         if len(v) != n:
             raise LatticeError("glue vector length does not match rank")
-        pairings = la.vec_mat(v, g)
-        if any(x % p for x in pairings):
+        if any(x % p for x in la.mat_mul([v], g)[0]):
             raise NotInDual(f"vector {v} / {p} is not in the dual lattice")
     stacked = [[p if i == j else 0 for j in range(n)] for i in range(n)] + vecs
     basis = la.row_span_basis(stacked)  # rows generate p*L + Z<vectors>

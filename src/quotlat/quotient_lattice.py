@@ -171,7 +171,7 @@ def bb_quotient(lattice: GramLattice, p: int, glue: GlueSpec) -> QuotientResult:
         raise LatticeError("more p-power index in the transform than divided rows")
     g = lattice.gram_rows()
     for row, d in zip(t, glue.divided):
-        if d and any(x % p for x in la.vec_mat(row, g)):
+        if d and any(x % p for x in la.mat_mul([row], g)[0]):
             raise GlueNotInDual(f"row {row} / {p} is not in the dual lattice")
     gt = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
     q = [

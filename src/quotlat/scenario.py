@@ -22,6 +22,7 @@ from pathlib import Path
 from .gmodule import (
     CohomologyProfile,
     JordanProfile,
+    _is_prime,
     sym2_profile,
     zero_profile,
 )
@@ -29,6 +30,7 @@ from .hilb2_ring import HilbertSquare, h2_primitivity_certificate, s_lattice_gra
 from .lattice_core import (
     ATOM_GRAMS,
     GramLattice,
+    LatticeError,
     direct_sum,
     dual_rescaled,
     invariant_summary,
@@ -144,15 +146,28 @@ class Scenario:
         return self.glue
 
 
+def _is_int(value) -> bool:
+    """An integer and not a bool, which JSON keeps apart and Python does not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(record, key, path, types, required=True, default=None):
     if key not in record:
         if required:
             raise SchemaError(f"{path}.{key}", "missing required field")
         return default
     value = record[key]
-    if types is not None and not isinstance(value, types):
+    allowed = types if isinstance(types, tuple) else (types,)
+    if types is not None and (not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed):
         raise SchemaError(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
+
+
+def _int_items(value, path) -> tuple[int, ...]:
+    for i, x in enumerate(value):
+        if not _is_int(x):
+            raise SchemaError(f"{path}[{i}]", f"expected an integer, got {type(x).__name__}")
+    return tuple(value)
 
 
 def _int_key(key, path):
@@ -176,7 +191,7 @@ def _int_matrix(value, path):
         raise SchemaError(path, "expected a nonempty list of rows")
     rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(map(_is_int, row)):
             raise SchemaError(f"{path}[{i}]", "expected a list of integers")
         rows.append(tuple(row))
     if any(len(r) != len(rows) for r in rows):
@@ -197,9 +212,13 @@ def _parse_lattice(value, path, name=""):
             return GramLattice(_int_matrix(value["gram"], f"{path}.gram"), name=name)
         if "dual" in value:
             spec = value["dual"]
-            if not isinstance(spec, list) or len(spec) != 2 or not isinstance(spec[1], int):
+            if not (isinstance(spec, list) and len(spec) == 2 and _is_int(spec[1]) and _is_prime(spec[1])):
                 raise SchemaError(f"{path}.dual", "expected [lattice, prime]")
-            return dual_rescaled(_parse_lattice(spec[0], f"{path}.dual[0]"), spec[1])
+            lattice = _parse_lattice(spec[0], f"{path}.dual[0]")
+            try:
+                return dual_rescaled(lattice, spec[1])
+            except LatticeError as exc:
+                raise SchemaError(f"{path}.dual", str(exc)) from exc
         raise SchemaError(path, "lattice object needs a 'gram' or 'dual' key")
     if isinstance(value, list):
         blocks = [_parse_lattice(item, f"{path}[{i}]") for i, item in enumerate(value)]
@@ -224,7 +243,7 @@ def _parse_degree_profile(p, value, path, degrees):
         except Exception as exc:
             raise SchemaError(path, str(exc)) from exc
     counts = _expect(value, "l", path, list)
-    if len(counts) != p or not all(isinstance(x, int) for x in counts):
+    if len(counts) != p or not all(map(_is_int, counts)):
         raise SchemaError(f"{path}.l", f"expected {p} integer block counts l_1..l_{p}")
     try:
         return JordanProfile(p=p, blocks=(0, *counts))
@@ -256,9 +275,9 @@ def _parse_profile(p, dimension, record, path):
 def _parse_weight(value, path):
     if value is None:
         return None
-    if isinstance(value, int):
+    if _is_int(value):
         return WeightValue.known(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(x, int) for x in value):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
         return WeightValue(value[0], value[1])
     raise SchemaError(path, "weight must be an integer, a [lo, hi] pair, or null")
 
@@ -266,22 +285,20 @@ def _parse_weight(value, path):
 def _parse_fixed_locus(p, record, path):
     isolated = []
     for ipath, item in _objects(record, "isolated", path):
-        exps = _expect(item, "exponents", ipath, list)
-        if not all(isinstance(x, int) for x in exps):
-            raise SchemaError(f"{ipath}.exponents", "expected integers")
+        exps = _int_items(_expect(item, "exponents", ipath, list), f"{ipath}.exponents")
         count = _expect(item, "count", ipath, int, required=False, default=1)
         weight = _parse_weight(item.get("weight"), f"{ipath}.weight")
         try:
-            isolated.append(isolated_points(p, tuple(exps), multiplicity=count, weight=weight))
+            isolated.append(isolated_points(p, exps, multiplicity=count, weight=weight))
         except Exception as exc:
             raise SchemaError(ipath, str(exc)) from exc
     components = []
     for cpath, item in _objects(record, "components", path):
         exps = _expect(item, "exponents", cpath, (list, type(None)), required=False)
-        if exps is not None and not all(isinstance(x, int) for x in exps):
-            raise SchemaError(f"{cpath}.exponents", "expected integers")
+        if exps is not None:
+            exps = _int_items(exps, f"{cpath}.exponents")
         try:
-            local = None if exps is None else FixedPointLocal(p, tuple(exps))
+            local = None if exps is None else FixedPointLocal(p, exps)
             components.append(
                 FixedComponent(
                     dimension=_expect(item, "dimension", cpath, int),
@@ -295,12 +312,13 @@ def _parse_fixed_locus(p, record, path):
             raise
         except Exception as exc:
             raise SchemaError(cpath, str(exc)) from exc
+    flag = (bool, type(None))
     return FixedLocusSummary(
         isolated=tuple(isolated),
         components=tuple(components),
         torsion_free=_expect(record, "torsion_free", path, bool, required=False, default=True),
-        sigma_simply_connected=record.get("sigma_simply_connected"),
-        sigma_class_primitive=record.get("sigma_class_primitive"),
+        sigma_simply_connected=_expect(record, "sigma_simply_connected", path, flag, required=False),
+        sigma_class_primitive=_expect(record, "sigma_class_primitive", path, flag, required=False),
     )
 
 
@@ -311,7 +329,7 @@ def _parse_glue(value, path):
         raise SchemaError(path, "glue must be null, 'auto', or an object with rows/divided")
     rows = _int_matrix(_expect(value, "rows", path, list), f"{path}.rows")
     divided = _expect(value, "divided", path, list)
-    if not all(isinstance(i, int) and 0 <= i < len(rows) for i in divided):
+    if not all(_is_int(i) and 0 <= i < len(rows) for i in divided):
         raise SchemaError(f"{path}.divided", "expected row indices into rows")
     flags = tuple(i in set(divided) for i in range(len(rows)))
     try:
@@ -328,8 +346,8 @@ def _parse_expected(record, path, name):
         verdicts[_int_key(key, f"{path}.verdicts.{key}")] = v
     alpha = {}
     for key, v in _expect(record, "alpha", path, dict, required=False, default={}).items():
-        if not isinstance(v, list) or len(v) != 2:
-            raise SchemaError(f"{path}.alpha.{key}", "expected [lo, hi]")
+        if not (isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and (v[1] is None or _is_int(v[1]))):
+            raise SchemaError(f"{path}.alpha.{key}", "expected [lo, hi] with hi an integer or null")
         alpha[_int_key(key, f"{path}.alpha.{key}")] = (v[0], v[1])
     quotient = record.get("quotient")
     exact = record.get("quotient_exact_gram")
@@ -338,7 +356,7 @@ def _parse_expected(record, path, name):
         quotient=None if quotient is None else _parse_lattice(quotient, f"{path}.quotient", name=f"{name}/G"),
         quotient_exact_gram=None if exact is None else _int_matrix(exact, f"{path}.quotient_exact_gram"),
         fujiki_constant=_expect(record, "fujiki_constant", path, int, required=False),
-        betti=None if betti is None else tuple(betti),
+        betti=None if betti is None else _int_items(betti, f"{path}.betti"),
         fix_count=_expect(record, "fix_count", path, int, required=False),
         verdicts=verdicts,
         alpha=alpha,
@@ -377,6 +395,12 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
         routes[k] = route
 
     torsion = _expect(record, "sym2_cokernel_torsion", path, (list, type(None)), required=False)
+    if torsion is not None:
+        torsion = _int_items(torsion, f"{path}.sym2_cokernel_torsion")
+    notes = tuple(_expect(record, "notes", path, list, required=False, default=[]))
+    for i, note in enumerate(notes):
+        if not isinstance(note, str):
+            raise SchemaError(f"{path}.notes[{i}]", f"expected a string, got {type(note).__name__}")
     scenario = Scenario(
         name=name,
         kind=kind,
@@ -390,11 +414,11 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
         invariant=invariant,
         glue=_parse_glue(record.get("glue"), f"{path}.glue"),
         routes=routes,
-        sym2_cokernel_torsion=None if torsion is None else tuple(torsion),
+        sym2_cokernel_torsion=torsion,
         expected=_parse_expected(
             _expect(record, "expected", path, dict, required=False, default={}), f"{path}.expected", name
         ),
-        notes=tuple(_expect(record, "notes", path, list, required=False, default=[])),
+        notes=notes,
     )
     _check_consistency(scenario)
     return scenario

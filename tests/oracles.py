@@ -27,13 +27,18 @@ def snf_divisors(rows) -> list[int]:
     return [abs(int(d[i, i])) for i in range(n) if d[i, i] != 0]
 
 
+def charpoly(rows) -> list[int]:
+    """Coefficients of det(xI - A), leading 1 first, via sympy."""
+    return [int(c) for c in Matrix([list(r) for r in rows]).charpoly().all_coeffs()]
+
+
 def signature(rows) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix.
 
     Uses Descartes' rule on the characteristic polynomial, which is exact
     here because a symmetric integer matrix has only real eigenvalues.
     """
-    coeffs = Matrix([list(r) for r in rows]).charpoly().all_coeffs()
+    coeffs = charpoly(rows)
     zero = 0
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -319,6 +324,46 @@ def fraction_solve_in_rowspan(basis, vec) -> list[Fraction] | None:
         if sum(coeffs[r] * m[r][c] for r in range(k)) != vec[c]:
             return None
     return coeffs
+
+
+def fraction_signature(gram) -> tuple[int, int, int]:
+    """(positive, negative, zero) by symmetric elimination over Fractions.
+
+    The former library route: a nonzero diagonal pivot is eliminated on
+    both sides; when the remaining diagonal is zero, a nonzero off-diagonal
+    entry is consumed as a hyperbolic 2x2 block contributing (1, 1).
+    """
+    n = len(gram)
+    a = {(i, j): Fraction(gram[i][j]) for i in range(n) for j in range(n)}
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        i0 = next((i for i in active if a[(i, i)]), None)
+        if i0 is not None:
+            pivot = a[(i0, i0)]
+            if pivot > 0:
+                pos += 1
+            else:
+                neg += 1
+            rest = [i for i in active if i != i0]
+            for x in rest:
+                for y in rest:
+                    a[(x, y)] -= a[(x, i0)] * a[(i0, y)] / pivot
+            active = rest
+            continue
+        pair = next(((x, y) for x in active for y in active if x < y and a[(x, y)]), None)
+        if pair is None:
+            break  # remaining block is identically zero
+        i0, j0 = pair
+        b = a[(i0, j0)]
+        pos += 1
+        neg += 1
+        rest = [i for i in active if i not in (i0, j0)]
+        for x in rest:
+            for y in rest:
+                a[(x, y)] -= (a[(x, i0)] * a[(j0, y)] + a[(x, j0)] * a[(i0, y)]) / b
+        active = rest
+    return pos, neg, n - pos - neg
 
 
 # The former Hilbert-square routes: the H^4 Gram from Fraction basis

@@ -150,3 +150,30 @@ def test_bad_matrix_file(tmp_path, capsys):
     code, _, err = run(capsys, ["snf", str(f)])
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 2], [3]], "equal length"),
+        ([[1, 2], [3, 4, 5]], "equal length"),
+        ([[]], "nonempty"),
+        ([[1, 2], [True, 4]], "lists of integers"),
+        ([[False]], "lists of integers"),
+    ],
+    ids=["short-row", "long-row", "empty-row", "bool-entry", "bool-only"],
+)
+@pytest.mark.parametrize("command", ["snf", "jordan", "lattice", "hilb2"])
+def test_matrix_file_shapes_exit_2(tmp_path, capsys, rows, message, command):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(rows))
+    argv = {
+        "snf": ["snf", str(f)],
+        "jordan": ["jordan", "--matrix", str(f), "--prime", "3"],
+        "lattice": ["lattice", str(f), "--invariants"],
+        "hilb2": ["hilb2", "--gram", str(f)],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

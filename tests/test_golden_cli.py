@@ -1,0 +1,79 @@
+"""Byte-for-byte replay of recorded CLI runs over the bundled catalog.
+
+`golden_cli.json` maps each argv (as a shell-quoted command line) to [exit code, stdout,
+stderr] as recorded from `quotlat.cli.main`.  The runs cover
+`verify-paper` in both formats, `quotient` and `normality` for every
+catalog row, `lattice <expr> --invariants` for every lattice expression
+that appears in the catalog, and `hilb2`.  Regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+import json
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from quotlat.cli import main
+from quotlat.scenario import catalog_dir
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def _lattice_strings(value):
+    """Expression strings inside a lattice spec: a string, a block list or a dual."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _lattice_strings(item)
+    elif isinstance(value, dict) and isinstance(value.get("dual"), list):
+        yield from _lattice_strings(value["dual"][0])
+
+
+def golden_argvs() -> list[list[str]]:
+    records = [json.loads(f.read_text()) for f in sorted(catalog_dir().glob("*.json"))]
+    names = [r["name"] for r in records]
+    exprs: list[str] = []
+    for r in records:
+        for spec in (r.get("invariant_lattice"), r.get("expected", {}).get("quotient")):
+            exprs += [e for e in _lattice_strings(spec) if e not in exprs]
+    return (
+        [["verify-paper"], ["verify-paper", "--format", "json"]]
+        + [["quotient", n] for n in names]
+        + [["normality", n] for n in names]
+        + [["lattice", e, "--invariants"] for e in exprs]
+        + [["hilb2"]]
+    )
+
+
+def run_cli(argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+@cache
+def _recorded() -> dict[str, list]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_covers_the_catalog():
+    assert list(_recorded()) == [shlex.join(argv) for argv in golden_argvs()]
+
+
+@pytest.mark.parametrize("argv", golden_argvs(), ids=" ".join)
+def test_cli_output_is_byte_identical(argv):
+    assert run_cli(argv) == _recorded()[shlex.join(argv)]
+
+
+if __name__ == "__main__":
+    runs = {shlex.join(argv): run_cli(argv) for argv in golden_argvs()}
+    GOLDEN.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n")
+    print(f"wrote {len(runs)} runs to {GOLDEN}", file=sys.stderr)

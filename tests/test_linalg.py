@@ -1,6 +1,7 @@
 """The exact linear algebra core against sympy and the former library routines."""
 
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -191,7 +192,7 @@ def test_left_kernel_mod_p_is_the_kernel():
             for j in range(i, n):
                 g[i][j] = g[j][i] = rng.randint(-p, p) if rng.random() < 0.6 else 0
         kernel = la.left_kernel_mod_p(g, p)
-        assert all(x % p == 0 for v in kernel for x in la.vec_mat(v, g)), (g, p)
+        assert all(x % p == 0 for v in kernel for x in la.mat_mul([v], g)[0]), (g, p)
         assert len(kernel) == n - oracles.rank_mod_p(g, p)
         assert not kernel or oracles.rank_mod_p(kernel, p) == len(kernel)
         assert all(0 <= x < p for v in kernel for x in v)
@@ -257,3 +258,103 @@ def test_integer_coordinates_edge_cases():
             la.integer_coordinates(basis, [basis[0]])
         with pytest.raises(ValueError, match="dependent"):
             la.integer_coordinates(basis, [])
+
+
+# ------------------------------------------------ inertia and the Smith form
+
+
+def symmetric_matrix(rng, n, kind):
+    """Seeded symmetric n x n integer matrix of the given kind."""
+    if kind == "definite":
+        # lower triangular with a nonzero diagonal, so m m^T is definite
+        m = [[rng.randint(-3, 3) if j < i else rng.randint(1, 3) * (i == j) for j in range(n)]
+             for i in range(n)]
+        sign = rng.choice((1, -1))
+        return [[sign * x for x in row] for row in la.mat_mul(m, la.transpose(m))]
+    if kind == "singular":
+        rank = rng.randint(0, max(n - 1, 0))
+        f = low_rank_matrix(rng, n, n, rank) if rank else la.zeros(n, n)
+        d = [rng.choice((-2, -1, 1, 3)) for _ in range(n)]
+        return la.mat_mul([[x * di for x, di in zip(row, d)] for row in f], la.transpose(f))
+    g = la.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.randint(-6, 6) if rng.random() < 0.6 else 0
+    if kind == "zero-diagonal":
+        for i in range(n):
+            g[i][i] = 0
+    return g
+
+
+KINDS = ("dense", "singular", "zero-diagonal", "definite")
+
+
+def test_signature_exact_matches_both_former_routes():
+    """Inertia from the characteristic polynomial agrees with sympy and with
+    the former symmetric elimination on 320 seeded matrices up to n = 40."""
+    rng = Random(11)
+    seen = {kind: 0 for kind in KINDS}
+    for case in range(320):
+        kind = KINDS[case % 4]
+        # 8 large cases, one of each kind at n = 40
+        n = rng.randint(0, 12) if case % 160 >= 4 else 40 if case < 4 else rng.randint(13, 39)
+        g = symmetric_matrix(rng, n, kind)
+        got = la.signature_exact(g)
+        pos, zero, neg = oracles.signature(g) if n else (0, 0, 0)
+        assert got == (pos, neg, zero) == oracles.fraction_signature(g), (kind, g)
+        if kind == "definite" and n:
+            assert got in ((n, 0, 0), (0, n, 0))
+        if kind == "singular" and n:
+            assert got[2] >= 1
+        seen[kind] += 1
+    assert min(seen.values()) == 80
+
+
+def test_charpoly_coefficients_obey_the_hadamard_bound():
+    """|c_k| <= C(n, k) H^k with H the largest row 2-norm: c_k is a sum of
+    C(n, k) principal k-minors, each at most H^k by Hadamard's inequality."""
+    rng = Random(5)
+    for case in range(60):
+        n = rng.randint(1, 40) if case % 6 == 0 else rng.randint(1, 12)
+        spread = rng.choice((1, 9, 100))
+        a = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
+        if case % 2:
+            a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        coeffs = la.charpoly(a)
+        if n <= 12:
+            assert coeffs == oracles.charpoly(a)
+        h2 = max(sum(x * x for x in row) for row in a)
+        assert len(coeffs) == n + 1 and coeffs[0] == 1
+        assert all(c * c <= comb(n, k) ** 2 * h2**k for k, c in enumerate(coeffs)), a
+
+
+def test_charpoly_refuses_an_inexact_division():
+    assert la.charpoly([]) == [1]
+    assert la.charpoly([[0, 1], [1, 0]]) == [1, 0, -1]
+    with pytest.raises(ArithmeticError):
+        la.charpoly([[Fraction(1, 2)]])
+
+
+@pytest.mark.parametrize("m", [[[0, 1], [2, 0]], [[1, 2, 3], [2, 1, 0]], [[1], [1]], [[1, 2], [2]]])
+def test_signature_exact_rejects_non_symmetric(m):
+    with pytest.raises(ValueError, match="symmetric"):
+        la.signature_exact(m)
+
+
+def test_image_basis_and_columns_have_mutual_integer_coordinates():
+    """Every column of A has integer coordinates in image_basis(A), and the
+    coordinate matrix has unit invariant factors, so every basis row is in
+    turn an integer combination of the columns."""
+    rng = Random(3)
+    for case in range(120):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        rank = rng.randint(0, min(rows, cols))
+        a = low_rank_matrix(rng, rows, cols, rank) if rank else la.zeros(rows, cols)
+        if case % 3 == 0:
+            a = [[2 * x for x in row] for row in a]  # a column span that is not saturated
+        basis = la.image_basis(a)
+        assert len(basis) == oracles.rank_rational(a)
+        coords = la.integer_coordinates(basis, la.transpose(a))
+        assert coords is not None, a
+        if basis:
+            assert oracles.snf_divisors(coords) == [1] * len(basis), a

@@ -172,6 +172,23 @@ MALFORMED = [
     ("routes.two", _rekey("routes", "2", "two")),
     ("expected.verdicts.two", _rekey("expected.verdicts", "2", "two")),
     ("expected.alpha.two", _set("expected.alpha", {"two": [0, 0]})),
+    # values of the right JSON type that make no sense
+    ("prime", _set("prime", True)),
+    ("invariant_lattice.dual", _set("invariant_lattice", {"dual": ["U", 0]})),
+    ("invariant_lattice[0].dual", _set("invariant_lattice", [{"dual": ["U", -1]}])),
+    ("expected.quotient.dual", _set("expected.quotient", {"dual": ["U", 4]})),
+    ("expected.quotient[1].dual", _set("expected.quotient", ["U", {"dual": ["U", True]}])),
+    (
+        "invariant_lattice.dual[0].dual",
+        _set("invariant_lattice", {"dual": [{"dual": [{"gram": [[0, 0], [0, 0]]}, 11]}, 11]}),
+    ),
+    ("fixed_locus.sigma_simply_connected", _set("fixed_locus.sigma_simply_connected", "no")),
+    ("fixed_locus.sigma_class_primitive", _set("fixed_locus.sigma_class_primitive", 1)),
+    ("expected.alpha.2", _set("expected.alpha", {"2": ["a", "b"]})),
+    ("expected.alpha.4", _set("expected.alpha", {"4": [0, "b"]})),
+    ("expected.betti[1]", _set("expected.betti", [2, "4"])),
+    ("sym2_cokernel_torsion[0]", _set("sym2_cokernel_torsion", [True])),
+    ("notes[0]", _set("notes", [5])),
 ]
 
 
@@ -188,3 +205,20 @@ def test_malformed_record_names_the_field(tmp_path, capsys, field, mutate):
     err = capsys.readouterr().err
     assert err.startswith(f"error: broken.{field}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, lattice",
+    [("normality", {"dual": [{"gram": [[0, 0], [0, 0]]}, 11]}), ("quotient", {"gram": [[0, 0], [0, 0]]})],
+    ids=["normality-dual", "quotient-gram"],
+)
+def test_degenerate_gram_exits_2(tmp_path, capsys, command, lattice):
+    """A singular Gram gives exit 2 and a one-line error, at load or at the quotient."""
+    rec = minimal_record()
+    rec["invariant_lattice"] = lattice
+    target = tmp_path / "degenerate.json"
+    target.write_text(json.dumps(rec))
+    assert main([command, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "degenerate" in err and "Traceback" not in err
