@@ -3,8 +3,9 @@
 `golden_cli.json` maps each argv (as a shell-quoted command line) to [exit code, stdout,
 stderr] as recorded from `quotlat.cli.main`.  The runs cover
 `verify-paper` in both formats, `quotient` and `normality` for every
-catalog row, `lattice <expr> --invariants` for every lattice expression
-that appears in the catalog, and `hilb2`.  Regenerate the file with
+catalog row, `normality` under each named `--criterion` for every row,
+`lattice <expr> --invariants` for every lattice expression that appears
+in the catalog, and `hilb2`.  Regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -23,6 +24,7 @@ from quotlat.cli import main
 from quotlat.scenario import catalog_dir
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+CRITERIA = ("main", "th3", "maintori", "surface", "simple")
 
 
 def _lattice_strings(value):
@@ -47,6 +49,7 @@ def golden_argvs() -> list[list[str]]:
         [["verify-paper"], ["verify-paper", "--format", "json"]]
         + [["quotient", n] for n in names]
         + [["normality", n] for n in names]
+        + [["normality", n, "--criterion", c] for n in names for c in CRITERIA]
         + [["lattice", e, "--invariants"] for e in exprs]
         + [["hilb2"]]
     )
