@@ -69,13 +69,13 @@ from .quotient_lattice import (
     GlueSpec,
     QuotientResult,
     bb_quotient,
-    catalog_verify,
     find_glue,
     lattices_match,
     quotient_middle_lattice,
 )
 from .scenario import (
     Scenario,
+    catalog_verify,
     find_scenario,
     load_catalog,
     load_scenario,

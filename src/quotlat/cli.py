@@ -7,6 +7,12 @@ and the catalog verifier (`verify-paper`).  Scenario tokens are catalog
 names, aliases, or paths to JSON files; the bundled catalog directory can
 be overridden with the QUOTLAT_CATALOG environment variable.
 
+This module parses arguments and prints; what a scenario's quotient is,
+which certificates it runs and how the catalog is verified is decided in
+`scenario`.  `lattice`, `normality` and `quotient` compute everything
+before they print, so a run of them that fails (exit 2) writes nothing to
+stdout.
+
 Output is deterministic: two runs on the same inputs emit identical
 bytes.  Exit status is 0 only when every requested check passes.
 """
@@ -34,8 +40,7 @@ from .lattice_core import (
     smith_normal_form,
 )
 from .normality import NormalityError
-from .quotient_lattice import bb_quotient, lattices_match, quotient_middle_lattice
-from .scenario import ROUTE_TABLE, Scenario, find_scenario, load_catalog, run_normality, verify_scenario
+from .scenario import Scenario, catalog_verify, find_scenario, run_normality, run_route, scenario_quotient
 from .toric_weight import ClassificationFailure, canonical_exponents, point_type, weight_dim2, weight_lookup
 
 
@@ -78,22 +83,29 @@ def _aligned(rows: list[list[str]]) -> list[str]:
     ]
 
 
-def _print_invariants(lat: GramLattice) -> None:
+def _invariant_lines(lat: GramLattice) -> list[str]:
     inv = invariant_summary(lat)
     pos, neg = inv.signature
-    print(f"rank               {inv.rank}")
-    print(f"determinant        {inv.determinant}")
-    print(f"signature          ({pos}, {neg})")
-    print(f"discriminant group {inv.discriminant_group}")
+    return [
+        f"rank               {inv.rank}",
+        f"determinant        {inv.determinant}",
+        f"signature          ({pos}, {neg})",
+        f"discriminant group {inv.discriminant_group}",
+    ]
+
+
+def _print_lines(lines) -> None:
+    for line in lines:
+        print(line)
 
 
 def cmd_lattice(args) -> int:
     lat = _read_lattice(args.lattice)
+    invariants = _invariant_lines(lat) if args.invariants else []
     if lat.name:
         print(f"lattice {lat.name}")
     print(_fmt_matrix(lat.gram_rows()))
-    if args.invariants:
-        _print_invariants(lat)
+    _print_lines(invariants)
     return 0
 
 
@@ -131,25 +143,19 @@ def _scenario_header(s: Scenario) -> None:
 
 def cmd_normality(args) -> int:
     s = find_scenario(args.scenario)
-    _scenario_header(s)
     if args.criterion == "auto":
         reports = run_normality(s)
-        if not reports:
-            print("no certificate routes declared for this scenario")
-            return 0
     else:
-        if s.profile is None:
-            raise ValueError(f"{s.name} declares no cohomology profile")
-        if args.criterion != "simple" and s.fixed_locus is None:
-            raise ValueError(f"{s.name} declares no fixed locus")
-        route = "weights" if args.criterion == "maintori" else args.criterion
-        report = ROUTE_TABLE[route](s, s.complex_dimension, {})
+        report = run_route(s, "weights" if args.criterion == "maintori" else args.criterion)
         reports = {report.degree: report}
+    _scenario_header(s)
+    if not reports:
+        print("no certificate routes declared for this scenario")
+        return 0
     ok = True
     for k in sorted(reports):
         report = reports[k]
-        for line in report.lines():
-            print(line)
+        _print_lines(report.lines())
         want = s.expected.verdicts.get(k)
         if want is not None and report.verdict != want:
             print(f"  MISMATCH: expected {want}")
@@ -159,47 +165,32 @@ def cmd_normality(args) -> int:
     return 0 if ok else 1
 
 
-def _compare(computed: GramLattice, expected: GramLattice | None) -> int:
-    if expected is None:
-        return 0
-    match = lattices_match(computed, expected)
-    for line in match.lines():
-        print(line)
-    return 0 if match.passed else 1
-
-
 def cmd_quotient(args) -> int:
     s = find_scenario(args.scenario)
-    _scenario_header(s)
-    if s.kind == "reference":
-        if s.expected.quotient is None:
-            print("reference row with no declared quotient lattice")
-            return 0
-        print("declared quotient lattice (reference row, not recomputed):")
-        print(_fmt_matrix(s.expected.quotient.gram_rows()))
+    q = scenario_quotient(s)
+    if q is None and s.kind == "reference":
+        lines = ["reference row with no declared quotient lattice"]
+    elif q is None and s.invariant is None:
+        lines = ["no invariant lattice declared; nothing to compute"]
+    elif q is None:
+        lines = ["no glue recipe declared; quotient lattice not computed"]
+    elif s.kind == "reference":
+        lines = ["declared quotient lattice (reference row, not recomputed):", _fmt_matrix(q.gram.gram_rows())]
         if s.expected.fujiki_constant is not None:
-            print(f"declared Fujiki constant C = {s.expected.fujiki_constant}")
-        return 0
-    if s.invariant is None:
-        print("no invariant lattice declared; nothing to compute")
-        return 0
-    if s.kind in ("surface", "torus"):
-        computed = quotient_middle_lattice(s.invariant, s.prime)
-        print("quotient middle-degree lattice (dual rescaled by p):")
-        print(_fmt_matrix(computed.gram_rows()))
-        _print_invariants(computed)
-        return _compare(computed, s.expected.quotient)
-    if s.glue is None:
-        print("no glue recipe declared; quotient lattice not computed")
-        return 0
-    result = bb_quotient(s.invariant, s.prime, s.resolved_glue())
-    print("quotient Beauville-Bogomolov lattice:")
-    print(_fmt_matrix(result.gram.gram_rows()))
-    _print_invariants(result.gram)
-    print(f"Fujiki constant    C = {result.fujiki_constant}")
-    print(f"pushforward index  p^{result.index_log}")
-    print(f"rescaling          lambda = {result.scale}")
-    return _compare(result.gram, s.expected.quotient)
+            lines.append(f"declared Fujiki constant C = {s.expected.fujiki_constant}")
+    else:
+        title = "middle-degree lattice (dual rescaled by p)" if q.bb is None else "Beauville-Bogomolov lattice"
+        lines = [f"quotient {title}:", _fmt_matrix(q.gram.gram_rows()), *_invariant_lines(q.gram)]
+        if q.bb is not None:
+            lines += [
+                f"Fujiki constant    C = {q.bb.fujiki_constant}",
+                f"pushforward index  p^{q.bb.index_log}",
+                f"rescaling          lambda = {q.bb.scale}",
+            ]
+        lines += q.match.lines() if q.match is not None else []
+    _scenario_header(s)
+    _print_lines(lines)
+    return 0 if q is None or q.match is None or q.match.passed else 1
 
 
 def cmd_weight(args) -> int:
@@ -270,8 +261,7 @@ def cmd_hilb2(args) -> int:
     table = [[""] + labels]
     for label, a in zip(labels, monomials):
         table.append([label] + [str(hilb.pair_monomials(a, b)) for b in monomials])
-    for line in _aligned(table):
-        print(line)
+    _print_lines(_aligned(table))
     if len(classes) == 2:
         gram = s_lattice_gram(hilb, classes[0], classes[1])
         det = GramLattice(gram).determinant
@@ -287,21 +277,18 @@ def cmd_hilb2(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = load_catalog()
-    if args.filter is not None:
-        rows = [s for s in rows if s.matches(args.filter)]
-    if not rows:
+    results = catalog_verify(args.filter)
+    if not results:
         print(f"no catalog row matches {args.filter!r}", file=sys.stderr)
         return 2
-    results = [(s, verify_scenario(s)) for s in rows]
     if args.format == "json":
         payload = {
-            "passed": all(r.passed for _, r in results),
+            "passed": all(r.passed for r in results),
             "rows": [
                 {
-                    "name": s.name,
-                    "kind": s.kind,
-                    "prime": s.prime,
+                    "name": r.name,
+                    "kind": r.scenario.kind,
+                    "prime": r.scenario.prime,
                     "passed": r.passed,
                     "checks": [
                         {"name": n, "got": got, "want": want, "ok": ok}
@@ -309,13 +296,14 @@ def cmd_verify(args) -> int:
                     ],
                     "notes": list(r.notes),
                 }
-                for s, r in results
+                for r in results
             ],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         table = [["name", "kind", "p", "checks", "C", "status"]]
-        for s, r in results:
+        for r in results:
+            s = r.scenario
             n_ok = sum(1 for *_, ok in r.checks if ok)
             c = s.expected.fujiki_constant
             table.append(
@@ -328,16 +316,14 @@ def cmd_verify(args) -> int:
                     "pass" if r.passed else "FAIL",
                 ]
             )
-        for line in _aligned(table):
-            print(line)
-        for s, r in results:
+        _print_lines(_aligned(table))
+        for r in results:
             if not r.passed:
                 print()
-                for line in r.lines():
-                    print(line)
-        n_pass = sum(1 for _, r in results if r.passed)
+                _print_lines(r.lines())
+        n_pass = sum(1 for r in results if r.passed)
         print(f"{n_pass}/{len(results)} rows pass")
-    first_fail = next((s.name for s, r in results if not r.passed), None)
+    first_fail = next((r.name for r in results if not r.passed), None)
     if first_fail is not None:
         print(f"first failing row: {first_fail}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _linalg as la
-from .lattice_core import GramLattice, SublatticeEmbedding, _freeze, _p_power_log, direct_sum, sublattice
+from .lattice_core import _freeze, _p_power_log, direct_sum
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -217,14 +217,6 @@ def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
                 f"eigenlattice ranks (+{plus}, -{minus}) do not split l_1 = {blocks[1]}"
             )
     return JordanProfile(p=p, blocks=tuple(blocks), plus_rank=plus, minus_rank=minus)
-
-
-def invariant_sublattice(action: PrimeOrderAction) -> SublatticeEmbedding:
-    """Saturated fixed sublattice ker(phi - 1) with the induced form."""
-    if action.gram is None:
-        raise GModuleError("invariant_sublattice needs a Gram matrix")
-    rows = la.kernel_basis(action.tau())
-    return sublattice(GramLattice(action.gram), rows)
 
 
 def a_invariant(action: PrimeOrderAction) -> int:

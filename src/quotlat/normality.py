@@ -56,7 +56,6 @@ __all__ = [
     "NormalityReport",
     "WeightSolution",
     "NormalityError",
-    "TorsionPresent",
     "HypothesisFailed",
     "NotOrder3",
     "NotStable",
@@ -68,7 +67,6 @@ __all__ = [
     "UnsupportedPrime",
     "NonIntegralResult",
     "classify_fixed_point",
-    "pushforward_discriminant",
     "check_simple_criteria",
     "check_theorem_main",
     "blowup_update",
@@ -76,6 +74,7 @@ __all__ = [
     "check_maintori",
     "weight_solve",
     "check_surface",
+    "surface_fix_count",
     "betti_quotient",
     "propagate_power",
     "negligibility",
@@ -88,10 +87,6 @@ UNKNOWN = "Unknown"
 
 
 class NormalityError(Exception):
-    pass
-
-
-class TorsionPresent(NormalityError):
     pass
 
 
@@ -387,21 +382,6 @@ class NormalityReport:
 def _require_supported(p: int) -> None:
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"certificates cover primes up to 19, got {p}")
-
-
-def pushforward_discriminant(cp: CohomologyProfile, n: int) -> tuple[int, int]:
-    """(log_p discr pi_*(H^n), upper bound for alpha_n) in the middle degree.
-
-    The pushforward of the middle cohomology has discriminant p^(l_1^n)
-    (p^(l_(1,+)^n) for p = 2), and alpha_n is at most half that exponent.
-    """
-    _require_supported(cp.p)
-    if n != cp.dimension:
-        raise ValueError(f"middle degree is {cp.dimension}, got {n}")
-    if not cp.torsion_free:
-        raise TorsionPresent("H^*(X, Z) must be torsion-free")
-    exponent = cp.l1(n)
-    return exponent, exponent // 2
 
 
 def _etsi_bounds(cp: CohomologyProfile) -> tuple[int, int | None]:
@@ -759,16 +739,22 @@ def weight_solve(cp: CohomologyProfile, fix: FixedLocusSummary) -> WeightSolutio
     )
 
 
+def surface_fix_count(cp: CohomologyProfile) -> int:
+    """#Fix that the degree-2 profile forces on a surface with b_1 = 0.
+
+    Every fixed point has weight 1, so #Fix = 2 + l_1^2 + l_(p-1)^2 for
+    odd p and 2 + l_1^2 (total size-1 count) for p = 2.
+    """
+    return 2 + cp.l1_total(2) + (cp.l_pm1(2) if cp.p > 2 else 0)
+
+
 def check_surface(
     cp: CohomologyProfile, fix: FixedLocusSummary, simply_connected: bool = True
 ) -> NormalityReport:
     """H^2-normality for simply connected surfaces with finite fixed locus.
 
-    On a surface every fixed point has weight 1 and the fixed point count
-    is pinned by the profile: #Fix = 2 + l_1^2 + l_(p-1)^2 (p odd) or
-    2 + l_1^2 (p = 2, total size-1 count).  The declared count must
-    match; normality then needs no size-(p-1) blocks (minus part for
-    p = 2) in degree 2.
+    The declared fixed point count must be `surface_fix_count`; normality
+    then needs no size-(p-1) blocks (minus part for p = 2) in degree 2.
     """
     p = cp.p
     _require_supported(p)
@@ -778,7 +764,7 @@ def check_surface(
         raise MiddleBlocksPresent(
             f"degree-2 profile has blocks of size 2..p-2: {cp.profile(2).middle_blocks()}"
         )
-    expected = 2 + cp.l1_total(2) + (cp.l_pm1(2) if p > 2 else 0)
+    expected = surface_fix_count(cp)
     if fix.is_finite and not fix.is_empty and fix.point_count != expected:
         raise FixedCountMismatch(
             f"profile forces #Fix = {expected}, scenario declares {fix.point_count}"

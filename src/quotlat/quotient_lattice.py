@@ -6,8 +6,9 @@ invariant lattice.  On second cohomology of fourfolds the pushforward
 lattice grows by explicit glue classes x/p and then carries the unique
 indivisible integral rescaling of the Beauville-Bogomolov form; the
 Fujiki constant falls out of that normalization as C = 3p^3 / lambda^2.
-The catalog verifier recomputes every quotient table row and reports
-value-level comparisons instead of booleans alone.
+`lattices_match` compares a computed lattice with a declared one check by
+check; which construction a catalog row takes, and the catalog verifier
+that reports those checks row by row, live in `scenario`.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ __all__ = [
     "GlueSpec",
     "QuotientResult",
     "MatchResult",
-    "RowCheck",
     "quotient_middle_lattice",
     "bb_quotient",
     "fujiki_scale",
     "find_glue",
     "lattices_match",
-    "catalog_verify",
 ]
 
 
@@ -214,7 +213,7 @@ def find_glue(lattice: GramLattice, p: int) -> GlueSpec:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Value-level comparison of two lattices by classifying invariants."""
+    """Value-level checks (name, got, want, ok), one line each in `lines`."""
 
     checks: tuple[tuple[str, str, str, bool], ...]
 
@@ -293,45 +292,3 @@ def lattices_match(got: GramLattice, expected: GramLattice) -> MatchResult:
     ra, rb = _reduced_binary_blocks(got), _reduced_binary_blocks(expected)
     checks.append(("reduced binary blocks", str(ra), str(rb), ra == rb))
     return MatchResult(tuple(checks))
-
-
-@dataclass(frozen=True)
-class RowCheck:
-    """One catalog row of the table verifier."""
-
-    name: str
-    checks: tuple[tuple[str, str, str, bool], ...]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, _, _, ok in self.checks)
-
-    def lines(self) -> list[str]:
-        head = "pass" if self.passed else "FAIL"
-        out = [f"{self.name}: {head}"]
-        for name, got, want, ok in self.checks:
-            mark = "ok " if ok else "FAIL"
-            out.append(f"  [{mark}] {name}: {got}" + ("" if ok else f" (expected {want})"))
-        for note in self.notes:
-            out.append(f"  note: {note}")
-        return out
-
-
-def catalog_verify(name_filter: str | None = None) -> list[RowCheck]:
-    """Recompute every catalog quotient row and compare against the tables.
-
-    Each row recomputes its quotient lattice (middle-degree dual for the
-    surface and torus rows, glued Beauville-Bogomolov form for the
-    fourfolds), the Fujiki constant and Betti numbers where declared, the
-    fixed-point count consistency, and the normality verdicts.  The filter
-    is a case-insensitive substring matched against names and aliases.
-    """
-    from .scenario import load_catalog, verify_scenario
-
-    rows = []
-    for scenario in load_catalog():
-        if name_filter is not None and not scenario.matches(name_filter):
-            continue
-        rows.append(verify_scenario(scenario))
-    return rows

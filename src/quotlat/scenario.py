@@ -6,9 +6,11 @@ lattice with its glue recipe, the certificate route per degree, and the
 expected table row (quotient lattice, Fujiki constant, Betti numbers,
 fixed point count, verdicts).  The bundled catalog covers the K3 and
 torus surface quotients, the Hilbert-square fourfold quotients, and the
-blow-up counterexample; `load_catalog` reads it, `run_normality` runs
-the routed certificates, and `verify_scenario` recomputes one table row
-and reports value-level comparisons.
+blow-up counterexample; `load_catalog` reads it.  Every decision about a
+scenario is made here: `scenario_quotient` builds its quotient lattice,
+`ROUTE_NEEDS` says what each certificate route reads, `run_normality` and
+`run_route` run the certificates, and `verify_scenario` and the catalog
+verifier `catalog_verify` recompute table rows; `cli` only prints them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .gmodule import (
     JordanProfile,
     _is_prime,
     sym2_profile,
-    zero_profile,
 )
 from .hilb2_ring import HilbertSquare, h2_primitivity_certificate, s_lattice_gram
 from .lattice_core import (
@@ -33,7 +34,6 @@ from .lattice_core import (
     LatticeError,
     direct_sum,
     dual_rescaled,
-    invariant_summary,
     parse_lattice_expr,
 )
 from .normality import (
@@ -50,10 +50,12 @@ from .normality import (
     check_theorem_main,
     isolated_points,
     propagate_power,
+    surface_fix_count,
 )
 from .quotient_lattice import (
     GlueSpec,
-    RowCheck,
+    MatchResult,
+    QuotientResult,
     bb_quotient,
     find_glue,
     lattices_match,
@@ -65,25 +67,26 @@ __all__ = [
     "KINDS",
     "ROUTES",
     "ROUTE_TABLE",
+    "ROUTE_NEEDS",
     "SchemaError",
     "ConsistencyError",
     "UnknownScenario",
     "Expected",
     "Scenario",
+    "ScenarioQuotient",
+    "RowCheck",
     "load_scenario",
     "load_catalog",
     "catalog_dir",
     "find_scenario",
     "run_normality",
+    "run_route",
+    "scenario_quotient",
     "verify_scenario",
+    "catalog_verify",
 ]
 
 KINDS = ("surface", "torus", "fourfold", "reference", "counterexample")
-
-# S^[2]-type fourfolds: the cokernel of Sym^2 H^2 -> H^4 over Z has only
-# 2- and 5-torsion, so symmetric-square descent is available away from those.
-HILB2_COKERNEL_TORSION = (2, 5)
-
 
 class SchemaError(ValueError):
     """A scenario record violates the schema; path points at the field."""
@@ -209,7 +212,10 @@ def _parse_lattice(value, path, name=""):
         return GramLattice(parsed.gram, name=name or value)
     if isinstance(value, dict):
         if "gram" in value:
-            return GramLattice(_int_matrix(value["gram"], f"{path}.gram"), name=name)
+            lattice = GramLattice(_int_matrix(value["gram"], f"{path}.gram"), name=name)
+            if lattice.determinant == 0:
+                raise SchemaError(f"{path}.gram", "Gram matrix is degenerate")
+            return lattice
         if "dual" in value:
             spec = value["dual"]
             if not (isinstance(spec, list) and len(spec) == 2 and _is_int(spec[1]) and _is_prime(spec[1])):
@@ -443,13 +449,7 @@ def _check_consistency(s: Scenario) -> None:
                 f"{s.expected.fix_count}"
             )
     for k, route in s.routes.items():
-        needs_fix = route in ("surface", "main", "th3", "weights")
-        if needs_fix and s.fixed_locus is None:
-            raise ConsistencyError(f"{s.name}: route {route} in degree {k} needs a fixed locus")
-        if route != "declared" and s.profile is None:
-            raise ConsistencyError(f"{s.name}: route {route} in degree {k} needs cohomology data")
-        if route == "declared" and k not in s.expected.verdicts:
-            raise ConsistencyError(f"{s.name}: declared route in degree {k} needs an expected verdict")
+        _require_route(s, route, k)
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
@@ -573,6 +573,22 @@ ROUTE_TABLE = {
 }
 ROUTES = tuple(ROUTE_TABLE)
 
+# route -> what it reads from the record in degree k, as (name, declared);
+# checked at load for the routes a record declares, and by run_route
+_PROFILE = ("cohomology profile", lambda s, k: s.profile is not None)
+_FIXED_LOCUS = ("fixed locus", lambda s, k: s.fixed_locus is not None)
+ROUTE_NEEDS = {
+    **dict.fromkeys(("surface", "main", "th3", "weights"), (_PROFILE, _FIXED_LOCUS)),
+    **dict.fromkeys(("simple", "descent", "s_lattice"), (_PROFILE,)),
+    "declared": (("expected verdict in degree {k}", lambda s, k: k in s.expected.verdicts),),
+}
+
+
+def _require_route(s: Scenario, route: str, k: int) -> None:
+    for what, declared in ROUTE_NEEDS[route]:
+        if not declared(s, k):
+            raise ConsistencyError(f"{s.name} declares no {what.format(k=k)}")
+
 
 def run_normality(s: Scenario) -> dict[int, NormalityReport]:
     """Run every routed certificate; higher degrees first so descent can feed."""
@@ -582,76 +598,117 @@ def run_normality(s: Scenario) -> dict[int, NormalityReport]:
     return reports
 
 
+def run_route(s: Scenario, route: str) -> NormalityReport:
+    """One route's certificate alone in the middle degree, whatever s routes."""
+    k = s.complex_dimension
+    _require_route(s, route, k)
+    return ROUTE_TABLE[route](s, k, {})
+
+
+@dataclass(frozen=True)
+class ScenarioQuotient:
+    """A quotient lattice; bb holds the normalization of a glued BB form, and
+    match its comparison with the declared row (None for reference rows)."""
+
+    gram: GramLattice
+    bb: QuotientResult | None = None
+    match: MatchResult | None = None
+
+
+def scenario_quotient(s: Scenario) -> ScenarioQuotient | None:
+    """The quotient lattice of s: declared for a reference row, the dual
+    L^vee(p) of the invariant lattice for surface and torus rows, the glued
+    Beauville-Bogomolov form otherwise; None when there is nothing to build
+    it from (no declared lattice, no invariant lattice, or no glue)."""
+    want = s.expected.quotient
+    if s.kind == "reference":
+        return None if want is None else ScenarioQuotient(want)
+    if s.invariant is None:
+        return None
+    bb = None
+    if s.kind in ("surface", "torus"):
+        gram = quotient_middle_lattice(s.invariant, s.prime)
+    else:
+        glue = s.resolved_glue()
+        if glue is None:
+            return None
+        bb = bb_quotient(s.invariant, s.prime, glue)
+        gram = bb.gram
+    return ScenarioQuotient(gram, bb, None if want is None else lattices_match(gram, want))
+
+
+@dataclass(frozen=True)
+class RowCheck(MatchResult):
+    """One catalog row of the table verifier: its scenario, checks and notes."""
+
+    scenario: Scenario
+    notes: tuple[str, ...] = ()
+
+    @property
+    def name(self) -> str:
+        return self.scenario.name
+
+    def lines(self) -> list[str]:
+        head = "pass" if self.passed else "FAIL"
+        return [f"{self.name}: {head}", *super().lines(), *(f"  note: {n}" for n in self.notes)]
+
+
 def _check(name, got, want) -> tuple[str, str, str, bool]:
     return (name, str(got), str(want), str(got) == str(want))
 
 
-def _surface_checks(s: Scenario, checks: list) -> None:
-    if s.expected.quotient is None:
-        return
-    computed = quotient_middle_lattice(s.invariant, s.prime)
-    match = lattices_match(computed, s.expected.quotient)
-    for cname, got, want, ok in match.checks:
-        checks.append((f"H^2 {cname}", got, want, ok))
-    if s.expected.betti is not None:
-        b2, chi = s.expected.betti
-        checks.append(_check("b_2", computed.rank, b2))
-        checks.append(_check("chi", 2 + computed.rank, chi))
-    if s.expected.fix_count is not None:
-        if s.kind == "surface":
+def _fix_check(s: Scenario) -> list[tuple[str, str, str, bool]]:
+    """#Fix of a declared finite fixed locus against the expected count."""
+    if s.expected.fix_count is None or s.fixed_locus is None:
+        return []
+    return [_check("#Fix", s.fixed_locus.point_count, s.expected.fix_count)]
+
+
+def _quotient_checks(s: Scenario, q: ScenarioQuotient, checks: list, notes: list) -> None:
+    e = s.expected
+    if q.match is not None:
+        checks += [(f"H^2 {name}", got, want, ok) for name, got, want, ok in q.match.checks]
+    if s.kind == "reference":
+        if e.betti is not None:
+            b2, b4, chi = e.betti
+            checks.append(_check("b_2 = rank of the declared lattice", q.gram.rank, b2))
+            checks.append(_check("chi = 2 + 2 b_2 + b_4", 2 + 2 * b2 + b4, chi))
+        if e.fujiki_constant is not None:
+            notes.append(f"declared Fujiki constant {e.fujiki_constant}")
+        notes.append("reference row: declared, not recomputed")
+    elif q.bb is None:  # surface and torus: the middle-degree dual
+        if e.betti is not None:
+            b2, chi = e.betti
+            checks.append(_check("b_2", q.gram.rank, b2))
+            checks.append(_check("chi", 2 + q.gram.rank, chi))
+        if e.fix_count is not None and s.kind == "surface":
             # count forced by the profile; only valid with b_1 = 0
-            cp = s.profile
-            predicted = 2 + cp.l1_total(2) + (cp.l_pm1(2) if s.prime > 2 else 0)
-            checks.append(_check("#Fix (2 + l_1 + l_(p-1))", predicted, s.expected.fix_count))
-        elif s.fixed_locus is not None:
-            checks.append(_check("#Fix", s.fixed_locus.point_count, s.expected.fix_count))
-
-
-def _fourfold_checks(s: Scenario, checks: list, notes: list) -> None:
-    if s.expected.quotient is None:
-        notes.append("no quotient lattice row declared for this scenario")
-        if s.expected.fix_count is not None and s.fixed_locus is not None:
-            checks.append(_check("#Fix", s.fixed_locus.point_count, s.expected.fix_count))
-        return
-    result = bb_quotient(s.invariant, s.prime, s.resolved_glue())
-    match = lattices_match(result.gram, s.expected.quotient)
-    for cname, got, want, ok in match.checks:
-        checks.append((f"H^2 {cname}", got, want, ok))
-    if s.expected.quotient_exact_gram is not None:
-        checks.append(
-            _check("H^2 Gram (entry-exact)", result.gram.gram, s.expected.quotient_exact_gram)
-        )
-    if s.expected.fujiki_constant is not None:
-        checks.append(_check("Fujiki constant", result.fujiki_constant, Fraction(s.expected.fujiki_constant)))
-    if s.expected.betti is not None:
-        computed = betti_quotient(s.invariant.rank, s.prime)
-        checks.append(_check("(b_2, b_3, b_4, chi)", computed, s.expected.betti))
-    if s.expected.fix_count is not None and s.fixed_locus is not None:
-        checks.append(_check("#Fix", s.fixed_locus.point_count, s.expected.fix_count))
-    notes.append(f"pushforward index p^{result.index_log}, scale {result.scale}")
-
-
-def _reference_checks(s: Scenario, checks: list, notes: list) -> None:
-    summary = invariant_summary(s.expected.quotient)
-    if s.expected.betti is not None:
-        b2, b4, chi = s.expected.betti
-        checks.append(_check("b_2 = rank of the declared lattice", summary.rank, b2))
-        checks.append(_check("chi = 2 + 2 b_2 + b_4", 2 + 2 * b2 + b4, chi))
-    if s.expected.fujiki_constant is not None:
-        notes.append(f"declared Fujiki constant {s.expected.fujiki_constant}")
-    notes.append("reference row: declared, not recomputed")
+            checks.append(_check("#Fix (2 + l_1 + l_(p-1))", surface_fix_count(s.profile), e.fix_count))
+        else:
+            checks += _fix_check(s)
+    else:
+        if e.quotient_exact_gram is not None:
+            checks.append(_check("H^2 Gram (entry-exact)", q.gram.gram, e.quotient_exact_gram))
+        if e.fujiki_constant is not None:
+            checks.append(_check("Fujiki constant", q.bb.fujiki_constant, Fraction(e.fujiki_constant)))
+        if e.betti is not None:
+            checks.append(_check("(b_2, b_3, b_4, chi)", betti_quotient(s.invariant.rank, s.prime), e.betti))
+        checks += _fix_check(s)
+        notes.append(f"pushforward index p^{q.bb.index_log}, scale {q.bb.scale}")
 
 
 def verify_scenario(s: Scenario) -> RowCheck:
     """Recompute one catalog row and compare against its declared table data."""
     checks: list[tuple[str, str, str, bool]] = []
     notes: list[str] = list(s.notes)
-    if s.kind in ("surface", "torus"):
-        _surface_checks(s, checks)
+    if s.expected.quotient is not None and s.kind != "counterexample":
+        q = scenario_quotient(s)
+        if q is None:
+            raise ConsistencyError(f"{s.name}: the declared quotient needs an invariant lattice and glue")
+        _quotient_checks(s, q, checks, notes)
     elif s.kind == "fourfold":
-        _fourfold_checks(s, checks, notes)
-    elif s.kind == "reference":
-        _reference_checks(s, checks, notes)
+        notes.append("no quotient lattice row declared for this scenario")
+        checks += _fix_check(s)
     if s.routes:
         reports = run_normality(s)
         for k in sorted(reports):
@@ -667,4 +724,12 @@ def verify_scenario(s: Scenario) -> RowCheck:
                 checks.append(_check(f"alpha_{k}", report.alpha_bounds, tuple(want_alpha)))
             if report.witness:
                 notes.append(f"H^{k} witness: {report.witness}")
-    return RowCheck(name=s.name, checks=tuple(checks), notes=tuple(notes))
+    return RowCheck(checks=tuple(checks), scenario=s, notes=tuple(notes))
+
+
+def catalog_verify(name_filter: str | None = None) -> list[RowCheck]:
+    """Verify every catalog row, or those whose name or an alias contains name_filter.
+
+    The filter is a case-insensitive substring; see `Scenario.matches`.
+    """
+    return [verify_scenario(s) for s in load_catalog() if name_filter is None or s.matches(name_filter)]

@@ -177,3 +177,12 @@ def test_matrix_file_shapes_exit_2(tmp_path, capsys, rows, message, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_lattice_invariants_of_singular_gram_print_nothing(tmp_path, capsys):
+    f = tmp_path / "sing_m.json"
+    f.write_text(json.dumps({"gram": [[1, 2], [2, 4]]}))
+    code, out, err = run(capsys, ["lattice", str(f), "--invariants"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: Gram matrix is degenerate\n"

@@ -71,6 +71,11 @@ def test_golden_file_covers_the_catalog():
     assert list(_recorded()) == [shlex.join(argv) for argv in golden_argvs()]
 
 
+def test_failed_runs_print_nothing_to_stdout():
+    failed = [run for run in _recorded().values() if run[0] == 2]
+    assert failed and all(out == "" for _, out, _ in failed)
+
+
 @pytest.mark.parametrize("argv", golden_argvs(), ids=" ".join)
 def test_cli_output_is_byte_identical(argv):
     assert run_cli(argv) == _recorded()[shlex.join(argv)]

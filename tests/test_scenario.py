@@ -20,7 +20,9 @@ from quotlat.scenario import (
     SchemaError,
     UnknownScenario,
     catalog_dir,
+    run_route,
     scenario_from_record,
+    scenario_quotient,
 )
 
 NAMES = [
@@ -178,8 +180,11 @@ MALFORMED = [
     ("invariant_lattice[0].dual", _set("invariant_lattice", [{"dual": ["U", -1]}])),
     ("expected.quotient.dual", _set("expected.quotient", {"dual": ["U", 4]})),
     ("expected.quotient[1].dual", _set("expected.quotient", ["U", {"dual": ["U", True]}])),
+    # A2 is nondegenerate but its discriminant group Z/3 is not 11-elementary
+    ("invariant_lattice.dual[0].dual", _set("invariant_lattice", {"dual": [{"dual": ["A2", 11]}, 11]})),
+    ("invariant_lattice.gram", _set("invariant_lattice", {"gram": [[0, 0], [0, 0]]})),
     (
-        "invariant_lattice.dual[0].dual",
+        "invariant_lattice.dual[0].dual[0].gram",
         _set("invariant_lattice", {"dual": [{"dual": [{"gram": [[0, 0], [0, 0]]}, 11]}, 11]}),
     ),
     ("fixed_locus.sigma_simply_connected", _set("fixed_locus.sigma_simply_connected", "no")),
@@ -222,3 +227,47 @@ def test_degenerate_gram_exits_2(tmp_path, capsys, command, lattice):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "degenerate" in err and "Traceback" not in err
+
+
+def test_route_needs_read_at_load_and_by_run_route(by_name):
+    """One statement of what a route reads: the load check and run_route agree."""
+    rec = minimal_record()
+    del rec["fixed_locus"]
+    with pytest.raises(ConsistencyError, match="Z11 declares no fixed locus"):
+        scenario_from_record(rec)
+    with pytest.raises(ConsistencyError, match="M11a declares no fixed locus"):
+        run_route(by_name["M11a"], "main")
+    with pytest.raises(ConsistencyError, match="CE2 declares no cohomology profile"):
+        run_route(by_name["CE2"], "simple")
+    rec = minimal_record()
+    rec["routes"] = {"2": "declared"}
+    rec["expected"]["verdicts"] = {}
+    with pytest.raises(ConsistencyError, match="Z11 declares no expected verdict in degree 2"):
+        scenario_from_record(rec)
+
+
+def test_scenario_quotient_constructions(by_name):
+    y3, m3, mprime = (scenario_quotient(by_name[n]) for n in ("Y3", "M3", "Mprime"))
+    assert y3.bb is None and y3.match.passed and abs(y3.gram.determinant) == 81
+    assert m3.bb.fujiki_constant == 9 and m3.gram is m3.bb.gram and m3.match.passed
+    assert mprime.gram is by_name["Mprime"].expected.quotient and mprime.match is None
+    assert scenario_quotient(by_name["NS3"]) is None  # no glue recipe
+    assert scenario_quotient(by_name["CE2"]) is None  # no invariant lattice
+
+
+def test_declared_quotient_without_glue_is_a_consistency_error():
+    rec = json.loads((catalog_dir() / "13-M3.json").read_text())
+    rec["glue"] = None
+    with pytest.raises(ConsistencyError, match="M3: the declared quotient needs"):
+        verify_scenario(scenario_from_record(rec))
+
+
+def test_failed_quotient_prints_nothing_to_stdout(tmp_path, capsys):
+    rec = minimal_record()
+    rec["invariant_lattice"] = "U(3)"
+    target = tmp_path / "u3.json"
+    target.write_text(json.dumps(rec))
+    assert main(["quotient", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: discriminant group Z/3 + Z/3 is not 11-elementary\n"
