@@ -24,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .gmodule import GModuleError, PrimeOrderAction, jordan_profile
+from .gmodule import GModuleError, PrimeOrderAction, _is_prime, jordan_profile
 from .hilb2_ring import (
     SIGMA,
     H2Class,
@@ -42,6 +42,14 @@ from .lattice_core import (
 from .normality import NormalityError
 from .scenario import Scenario, catalog_verify, find_scenario, run_normality, run_route, scenario_quotient
 from .toric_weight import ClassificationFailure, canonical_exponents, point_type, weight_dim2, weight_lookup
+
+
+def prime(token: str) -> int:
+    """argparse type for an order: an integer that is prime."""
+    p = int(token)
+    if not _is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return p
 
 
 def _read_matrix(path: str) -> list[list[int]]:
@@ -348,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jordan", help="Jordan block profile of an order-p action")
     p.add_argument("--matrix", required=True, help="JSON file with the action matrix")
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True, type=prime)
     p.set_defaults(func=cmd_jordan)
 
     p = sub.add_parser("normality", help="run normality certificates on a scenario")
@@ -367,18 +375,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weight", help="weight of an isolated fixed point")
     p.add_argument("--exponents", required=True, type=int, nargs="+")
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True, type=prime)
     p.set_defaults(func=cmd_weight)
 
     p = sub.add_parser("weight2d", help="dimension-2 weight with its toric data")
-    p.add_argument("p", type=int)
+    p.add_argument("p", type=prime)
     p.add_argument("q", type=int)
     p.set_defaults(func=cmd_weight2d)
 
     p = sub.add_parser("hilb2", help="Hilbert-square cup products and pairings")
     p.add_argument("classes", nargs="*", help="H^2 classes: gamma coordinates then the delta coefficient, comma separated")
     p.add_argument("--gram", default="U^3 + E8(-1)^2", help="K3 Gram: expression or JSON file (default U^3 + E8(-1)^2)")
-    p.add_argument("--prime", type=int, help="run the norm-pairing certificate at this prime (two classes)")
+    p.add_argument("--prime", type=prime, help="run the norm-pairing certificate at this prime (two classes)")
     p.set_defaults(func=cmd_hilb2)
 
     p = sub.add_parser("verify-paper", help="recompute every catalog table row")

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import _linalg as la
+from .gmodule import _is_prime
 from .lattice_core import GramLattice
 
 FUJIKI_CONSTANT = 3
@@ -356,6 +357,8 @@ def h2_primitivity_certificate(s_gram, p: int) -> tuple[bool, tuple[int, int, in
     Returns (True, None) on success, else (False, counterexample_triple).
     No determinant of the S-lattice enters anywhere.
     """
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     for a in range(p):
         for b in range(p):
             for c in range(p):

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gmodule import (
     SUPPORTED_PRIMES,
     CohomologyProfile,
-    JordanProfile,
     UnsupportedPrime,
     _is_prime,
     free_torsion_rank,
@@ -69,7 +69,6 @@ __all__ = [
     "classify_fixed_point",
     "check_simple_criteria",
     "check_theorem_main",
-    "blowup_update",
     "check_th3",
     "check_maintori",
     "weight_solve",
@@ -172,17 +171,29 @@ def classify_fixed_point(fp: FixedPointLocal) -> tuple[int | None, bool]:
 
 @dataclass(frozen=True)
 class IsolatedPoints:
-    """A multiplicity of isolated fixed points sharing one local model."""
+    """A multiplicity of isolated fixed points sharing one local model.
+
+    `declared` is the weight a record states, or None.  `weight` is that
+    value or, when none is declared, the proved-value table's answer,
+    computed on first read: loading a record runs no toric fans, and a
+    weight that some check reads still gets its full certificate.
+    """
 
     local: FixedPointLocal
     multiplicity: int
-    weight: WeightValue
+    declared: WeightValue | None = None
 
     def __post_init__(self):
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
         if not self.local.is_isolated:
             raise ValueError("isolated points cannot have zero exponents")
+
+    @cached_property
+    def weight(self) -> WeightValue:
+        if self.declared is not None:
+            return self.declared
+        return weight_lookup(self.local.p, self.local.exponents)
 
 
 def isolated_points(
@@ -191,11 +202,12 @@ def isolated_points(
     multiplicity: int = 1,
     weight: WeightValue | None = None,
 ) -> IsolatedPoints:
-    """IsolatedPoints with the weight defaulting to the proved-value table."""
-    local = FixedPointLocal(p, tuple(exponents))
-    if weight is None:
-        weight = weight_lookup(p, local.exponents)
-    return IsolatedPoints(local=local, multiplicity=multiplicity, weight=weight)
+    """IsolatedPoints with a declared weight, or none.
+
+    A weight not given here is computed from the proved-value table when
+    it is first read, not when the points are built.
+    """
+    return IsolatedPoints(FixedPointLocal(p, tuple(exponents)), multiplicity, weight)
 
 
 @dataclass(frozen=True)
@@ -522,44 +534,6 @@ def check_theorem_main(cp: CohomologyProfile, fix: FixedLocusSummary) -> Normali
         ("all_fixed_points_type_1", _types_all_one(fix, cp.p)),
     ]
     return _chain_report(cp, "main chain", own, fix.h2star_eps(cp.dimension), unmet_facts=neg_facts)
-
-
-def blowup_update(
-    cp: CohomologyProfile, n2: int, eps: int, eta: int, n: int
-) -> tuple[CohomologyProfile, int]:
-    """Profile of the blow-up along the type-2 part of an order-3 fixed locus.
-
-    Blowing up n2 standard points, eps borderline points and eta
-    borderline curves adds n2+eps+2*eta trivial blocks in each interior
-    even degree, n2+eps+eta in degrees 2 and 4n-2, and nothing in odd
-    degrees; the fixed locus gains (2n-1)(n2+eps) + 4(n-1)*eta to its
-    even Betti total.  Returns the new profile and that last delta.
-    """
-    if cp.p != 3:
-        raise NotOrder3(f"blow-up bookkeeping is specific to p = 3, got p = {cp.p}")
-    if eps not in (0, 1) or eta not in (0, 1):
-        raise ValueError("eps and eta are counts in {0, 1}")
-    if n2 < 0:
-        raise ValueError("negative point count")
-    if cp.dimension != 2 * n:
-        raise ValueError(f"profile has dimension {cp.dimension}, expected {2 * n}")
-    top = 4 * n
-    interior = n2 + eps + 2 * eta
-    edge = n2 + eps + eta
-    new_profiles = []
-    for d, jp in enumerate(cp.profiles):
-        if d % 2 == 1 or d == 0 or d == top:
-            new_profiles.append(jp)
-            continue
-        gain = edge if d in (2, top - 2) else interior
-        blocks = list(jp.blocks)
-        blocks[1] += gain
-        new_profiles.append(JordanProfile(p=3, blocks=tuple(blocks)))
-    delta = (2 * n - 1) * n2 + (2 * n - 1) * eps + 4 * (n - 1) * eta
-    return (
-        CohomologyProfile(dimension=cp.dimension, profiles=tuple(new_profiles), torsion_free=cp.torsion_free),
-        delta,
-    )
 
 
 def _split_order3_fixed_locus(fix: FixedLocusSummary, n: int):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
+from .gmodule import _is_prime
 from .lattice_core import _p_power_log
 
 Vec2 = tuple[int, int]
@@ -33,6 +34,11 @@ class NotCoprime(ValueError):
 
 class ClassificationFailure(RuntimeError):
     """Computed toric data breaks an invariant or fits no admissible case."""
+
+
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def _cross(a: Vec2, b: Vec2) -> int:
@@ -342,6 +348,7 @@ def weight_dim2(p: int, q: int) -> WeightDim2Result:
     non-minimal resolution; the results must agree, and in dimension 2
     the weight must come out as 1 via the middle classification case.
     """
+    _require_prime(p)
     runs = [
         _weight_from_fan(_compactified_fan(p, q, _CORNERS_A, False), p, q),
         _weight_from_fan(_compactified_fan(p, q, _CORNERS_B, False), p, q),
@@ -363,6 +370,7 @@ def point_type(p: int, exponents: tuple[int, ...]) -> int | None:
     Type 1: all nonzero exponents equal.  Type 2: p = 3 and neither.
     Returns None for the remaining points ('other type').
     """
+    _require_prime(p)
     ks = sorted(k % p for k in exponents)
     nonzero = [k for k in ks if k]
     if len(nonzero) <= 1:
@@ -395,6 +403,7 @@ def weight_lookup(p: int, exponents: tuple[int, ...]) -> WeightValue:
     are known: type 1 and type 2 points, the full orbit 1/p(1, ..., p-1),
     and two explicit 1/5 cases.  Everything else is the interval [0, 2].
     """
+    _require_prime(p)
     ks = tuple(k % p for k in exponents)
     if any(k == 0 for k in ks):
         raise ValueError("weights are defined for isolated fixed points only")

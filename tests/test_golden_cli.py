@@ -5,18 +5,21 @@ stderr] as recorded from `quotlat.cli.main`.  The runs cover
 `verify-paper` in both formats, `quotient` and `normality` for every
 catalog row, `normality` under each named `--criterion` for every row,
 `lattice <expr> --invariants` for every lattice expression that appears
-in the catalog, and `hilb2`.  Regenerate the file with
+in the catalog, `hilb2`, and the orders that the argument parser rejects
+as not prime (exit 2, nothing on stdout).  Regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
 import io
 import json
+import os
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -25,6 +28,13 @@ from quotlat.scenario import catalog_dir
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 CRITERIA = ("main", "th3", "maintori", "surface", "simple")
+NON_PRIME_ORDERS = [
+    ["hilb2", "--prime", "1"],
+    ["hilb2", "--prime", "4"],
+    ["hilb2", "--prime", "0"],
+    ["weight", "--exponents", "1", "1", "--prime", "4"],
+    ["weight2d", "4", "1"],
+]
 
 
 def _lattice_strings(value):
@@ -52,13 +62,18 @@ def golden_argvs() -> list[list[str]]:
         + [["normality", n, "--criterion", c] for n in names for c in CRITERIA]
         + [["lattice", e, "--invariants"] for e in exprs]
         + [["hilb2"]]
+        + NON_PRIME_ORDERS
     )
 
 
 def run_cli(argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    # argparse wraps its usage line to the terminal width
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the argument parser rejected argv
+            code = exc.code
     return [code, out.getvalue(), err.getvalue()]
 
 

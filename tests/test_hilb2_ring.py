@@ -238,6 +238,12 @@ def test_primitivity_certificate_detects_failure():
     assert any(v % 5 for v in (a, b, c))
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_primitivity_certificate_rejects_a_non_prime(p):
+    with pytest.raises(ValueError, match=f"{p} is not prime"):
+        h2_primitivity_certificate(S_GRAM, p)
+
+
 def test_hilbert_square_rejects_odd_rank_input():
     with pytest.raises(Exception):
         HilbertSquare(parse_lattice_expr("A2").gram_rows() + [[1]])

@@ -9,21 +9,27 @@ import pytest
 from quotlat import (
     find_glue,
     find_scenario,
+    isolated_points,
     load_catalog,
     load_scenario,
     run_normality,
     verify_scenario,
+    weight_dim2,
+    weight_lookup,
 )
+from quotlat import normality, toric_weight
 from quotlat.cli import main
 from quotlat.scenario import (
     ConsistencyError,
     SchemaError,
     UnknownScenario,
     catalog_dir,
+    catalog_verify,
     run_route,
     scenario_from_record,
     scenario_quotient,
 )
+from quotlat.toric_weight import ClassificationFailure, WeightValue
 
 NAMES = [
     "Y2", "Y3", "Y5", "Y7", "Z3", "Z5", "Z7", "Z11", "Z17", "Z19",
@@ -271,3 +277,57 @@ def test_failed_quotient_prints_nothing_to_stdout(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: discriminant group Z/3 + Z/3 is not 11-elementary\n"
+
+
+@pytest.fixture
+def weight_reads(monkeypatch):
+    """Record every (p, exponents) that a fixed point's weight is computed for."""
+    reads = []
+
+    def counted(p, exponents):
+        reads.append((p, exponents))
+        return weight_lookup(p, exponents)
+
+    monkeypatch.setattr(normality, "weight_lookup", counted)
+    return reads
+
+
+def test_weights_are_computed_when_first_read(weight_reads, monkeypatch):
+    catalog = load_catalog()
+    assert weight_reads == []
+    catalog_verify()
+    assert sorted(weight_reads) == [(3, (2, 2, 2, 2)), (5, (1, 1, 1, 2)), (5, (1, 1, 4, 4)), (5, (1, 2, 3, 4))]
+    # every undeclared weight of the catalog, forced: the 11 surface groups go
+    # through all three fans of weight_dim2
+    fans = []
+    monkeypatch.setattr(toric_weight, "weight_dim2", lambda p, q: fans.append((p, q)) or weight_dim2(p, q))
+    groups = [pt for s in catalog if s.fixed_locus is not None for pt in s.fixed_locus.isolated]
+    assert all(pt.declared is None and pt.weight == WeightValue(1, 1) for pt in groups)
+    assert len(fans) == 11
+
+
+def test_declared_weight_and_equality_need_no_read(weight_reads):
+    declared = isolated_points(5, (1, 1, 1, 1), weight=WeightValue(0, 2))
+    assert declared.weight == WeightValue(0, 2)
+    assert weight_reads == []
+    pt = isolated_points(7, (1, 3), multiplicity=3)
+    assert pt == isolated_points(7, (3, 1), multiplicity=3)
+    assert hash(pt) == hash(isolated_points(7, (1, 3), multiplicity=3))
+    assert weight_reads == []
+    assert pt.weight == WeightValue(1, 1) and pt.weight is pt.weight
+    assert weight_reads == [(7, (1, 3))]
+    assert pt == isolated_points(7, (1, 3), multiplicity=3)
+    assert hash(pt) == hash(isolated_points(7, (1, 3), multiplicity=3))
+    assert pt != declared
+
+
+@pytest.mark.parametrize("argv", [["normality", "M5"], ["verify-paper"]], ids=" ".join)
+def test_failed_weight_read_exits_2(monkeypatch, capsys, argv):
+    def broken(p, exponents):
+        raise ClassificationFailure(f"no weight for 1/{p}{exponents}")
+
+    monkeypatch.setattr(normality, "weight_lookup", broken)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no weight for 1/5(1, 1, 4, 4)\n"

@@ -140,6 +140,13 @@ def test_canonical_exponents_unit_invariance(p, seed):
     assert canonical_exponents(p, scaled) == canonical_exponents(p, exps)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_weight_functions_reject_a_non_prime_order(p):
+    for call in (lambda: weight_lookup(p, (1, 1)), lambda: point_type(p, (1, 1)), lambda: weight_dim2(p, 1)):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            call()
+
+
 def test_weight_lookup_proved_and_open():
     assert weight_lookup(5, (1, 1, 4, 4)) == WeightValue(1, 1)
     assert weight_lookup(5, (1, 1, 1, 2)) == WeightValue(1, 1)
