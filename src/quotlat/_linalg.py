@@ -16,10 +16,11 @@ polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+
+from ._record import record
 
 
 Matrix = list[list[int]]
@@ -319,7 +320,7 @@ def integer_coordinates(basis, vecs) -> list[list[int]] | None:
     return [[x[i][j] for i in range(k)] for j in range(len(vecs))]
 
 
-@dataclass
+@record(frozen=False)
 class SNFResult:
     u: Matrix
     d: Matrix

@@ -17,9 +17,10 @@ chains in `normality` both read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _linalg as la
+from ._record import record
 from .lattice_core import _freeze, _p_power_log, direct_sum
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -56,7 +57,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class JordanProfile:
     """Jordan block counts of an order-p action over F_p.
 
@@ -121,7 +122,7 @@ class JordanProfile:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class PrimeOrderAction:
     """Matrix phi with phi^p = identity, optionally preserving a Gram matrix.
 
@@ -170,15 +171,19 @@ class PrimeOrderAction:
         return m
 
     def sigma(self) -> list[list[int]]:
-        """1 + phi + ... + phi^(p-1)."""
-        n = self.rank
-        acc = la.identity(n)
-        out = la.identity(n)
+        """1 + phi + ... + phi^(p-1), a fresh copy of the value computed once per action."""
+        return [list(r) for r in self._sigma]
+
+    @cached_property
+    def _sigma(self) -> tuple[tuple[int, ...], ...]:
+        # Horner's rule: s <- 1 + phi s, p - 1 times from s = 1
         m = self.phi_rows()
+        s = la.identity(self.rank)
         for _ in range(self.p - 1):
-            acc = la.mat_mul(acc, m)
-            out = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(out, acc)]
-        return out
+            s = la.mat_mul(m, s)
+            for i, row in enumerate(s):
+                row[i] += 1
+        return _freeze(s)
 
 
 def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
@@ -236,7 +241,7 @@ def a_invariant(action: PrimeOrderAction) -> int:
     return a
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyGroup:
     free_rank: int
     torsion: tuple[int, ...]  # invariant factors > 1
@@ -536,7 +541,7 @@ def trivial_profile(p: int) -> JordanProfile:
     return JordanProfile(p=p, blocks=tuple(blocks))
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyProfile:
     """Degreewise Jordan profiles of an order-p action on H^*(X, Z).
 

@@ -30,10 +30,10 @@ Gram G satisfies psi^T G psi = G.  ``_image_h2`` returns psi x,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from . import _linalg as la
+from ._record import record
 from .gmodule import _is_prime
 from .lattice_core import GramLattice
 
@@ -44,7 +44,7 @@ DELTA_SQUARE = -2
 SIGMA = "sigma"
 
 
-@dataclass(frozen=True)
+@record
 class H2Class:
     """Element a_1*gamma_1 + ... + a_22*gamma_22 + b*delta of H^2(S^[2])."""
 
@@ -65,7 +65,7 @@ class H2Class:
         return len(self.gamma) + 1
 
 
-@dataclass(frozen=True)
+@record
 class H4Class:
     """Coordinates in the integral basis (sigma, q2, q1q1, m11)."""
 

@@ -12,9 +12,9 @@ definite binary forms, and a parser for direct-sum lattice expressions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import _linalg as la
+from ._record import record
 
 
 class LatticeError(Exception):
@@ -55,7 +55,7 @@ def _freeze(mat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in mat)
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminantGroup:
     """Finite abelian group L^vee / L given by its invariant factors (> 1)."""
 
@@ -80,7 +80,7 @@ class DiscriminantGroup:
         return " + ".join(f"Z/{d}" for d in self.elementary_divisors)
 
 
-@dataclass(frozen=True)
+@record
 class LatticeInvariants:
     rank: int
     determinant: int
@@ -88,7 +88,7 @@ class LatticeInvariants:
     discriminant_group: DiscriminantGroup
 
 
-@dataclass(frozen=True)
+@record
 class GramLattice:
     """Lattice presented by a symmetric nondegenerate integer Gram matrix."""
 
@@ -113,7 +113,7 @@ class GramLattice:
         return [list(r) for r in self.gram]
 
 
-@dataclass(frozen=True)
+@record
 class SublatticeEmbedding:
     """Finite or full-rank sublattice spanned by integer rows in an ambient lattice."""
 

@@ -31,9 +31,9 @@ its ends from the same helpers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .gmodule import (
     SUPPORTED_PRIMES,
     CohomologyProfile,
@@ -125,7 +125,7 @@ class MiddleBlocksPresent(NormalityError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FixedPointLocal:
     """Local model of a fixed point: eigenvalue exponents of the action.
 
@@ -169,7 +169,7 @@ def classify_fixed_point(fp: FixedPointLocal) -> tuple[int | None, bool]:
     return t, t == 0
 
 
-@dataclass(frozen=True)
+@record
 class IsolatedPoints:
     """A multiplicity of isolated fixed points sharing one local model.
 
@@ -210,7 +210,7 @@ def isolated_points(
     return IsolatedPoints(FixedPointLocal(p, tuple(exponents)), multiplicity, weight)
 
 
-@dataclass(frozen=True)
+@record
 class FixedComponent:
     """A positive-dimensional connected component of the fixed locus.
 
@@ -238,7 +238,7 @@ class FixedComponent:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class FixedLocusSummary:
     """Fix G as the checkers consume it.
 
@@ -337,7 +337,7 @@ def negligibility(fix: FixedLocusSummary, ambient_dimension: int) -> tuple[str, 
     return "none", facts
 
 
-@dataclass(frozen=True)
+@record
 class NormalityReport:
     """Outcome of one certificate applied in one degree.
 
@@ -645,7 +645,7 @@ def check_maintori(cp: CohomologyProfile, fix: FixedLocusSummary) -> NormalityRe
     )
 
 
-@dataclass(frozen=True)
+@record
 class WeightSolution:
     """weight_solve outcome: solved value or narrowed interval per type."""
 

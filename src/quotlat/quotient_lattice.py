@@ -13,11 +13,11 @@ that reports those checks row by row, live in `scenario`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import _linalg as la
+from ._record import record
 from .gmodule import _is_prime
 from .lattice_core import (
     DegenerateForm,
@@ -59,7 +59,7 @@ class GlueNotInDual(NotInDual):
     """A divided row has a pairing with the lattice not divisible by p."""
 
 
-@dataclass(frozen=True)
+@record
 class GlueSpec:
     """Basis recipe for the full quotient lattice over the raw pushforward.
 
@@ -97,7 +97,7 @@ class GlueSpec:
         return len(self.transform)
 
 
-@dataclass(frozen=True)
+@record
 class QuotientResult:
     """Quotient lattice with its normalization data.
 
@@ -211,7 +211,7 @@ def find_glue(lattice: GramLattice, p: int) -> GlueSpec:
     return GlueSpec(tuple(tuple(r) for r in basis), (True,) * n)
 
 
-@dataclass(frozen=True)
+@record
 class MatchResult:
     """Value-level checks (name, got, want, ok), one line each in `lines`."""
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from ._record import factory, record
 from .gmodule import (
     CohomologyProfile,
     JordanProfile,
@@ -104,7 +104,7 @@ class UnknownScenario(KeyError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Expected:
     """Declared table row a scenario is checked against."""
 
@@ -113,12 +113,12 @@ class Expected:
     fujiki_constant: int | None = None
     betti: tuple[int, ...] | None = None
     fix_count: int | None = None
-    verdicts: dict[int, str] = field(default_factory=dict)
-    alpha: dict[int, tuple[int, int]] = field(default_factory=dict)
+    verdicts: dict[int, str] = factory(dict)
+    alpha: dict[int, tuple[int, int]] = factory(dict)
     witness: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     name: str
     kind: str
@@ -131,9 +131,9 @@ class Scenario:
     fixed_locus: FixedLocusSummary | None = None
     invariant: GramLattice | None = None
     glue: GlueSpec | str | None = None
-    routes: dict[int, str] = field(default_factory=dict)
+    routes: dict[int, str] = factory(dict)
     sym2_cokernel_torsion: tuple[int, ...] | None = None
-    expected: Expected = field(default_factory=Expected)
+    expected: Expected = factory(Expected)
     notes: tuple[str, ...] = ()
 
     def matches(self, token: str) -> bool:
@@ -605,7 +605,7 @@ def run_route(s: Scenario, route: str) -> NormalityReport:
     return ROUTE_TABLE[route](s, k, {})
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioQuotient:
     """A quotient lattice; bb holds the normalization of a glued BB form, and
     match its comparison with the declared row (None for reference rows)."""
@@ -637,7 +637,7 @@ def scenario_quotient(s: Scenario) -> ScenarioQuotient | None:
     return ScenarioQuotient(gram, bb, None if want is None else lattices_match(gram, want))
 
 
-@dataclass(frozen=True)
+@record
 class RowCheck(MatchResult):
     """One catalog row of the table verifier: its scenario, checks and notes."""
 

@@ -18,10 +18,10 @@ no fan machinery is attempted beyond surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
+from ._record import record
 from .gmodule import _is_prime
 from .lattice_core import _p_power_log
 
@@ -106,7 +106,7 @@ def _resolve_cone(a: Vec2, b: Vec2) -> list[Vec2]:
         cur = v
 
 
-@dataclass(frozen=True)
+@record
 class Fan2D:
     """Ordered collection of primitive rays in Z^2.
 
@@ -203,7 +203,7 @@ def _compactified_fan(p: int, q: int, corners: tuple[Vec2, ...], extra_blowup: b
     return fan
 
 
-@dataclass(frozen=True)
+@record
 class WeightValue:
     """Weight of a fixed point: an exact value or an interval in [0, 2]."""
 
@@ -226,7 +226,7 @@ class WeightValue:
         return str(self.lo) if self.lo == self.hi else f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
+@record
 class WeightDim2Result:
     """Outcome of the dimension-2 weight computation on one fan."""
 

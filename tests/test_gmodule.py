@@ -107,6 +107,25 @@ def test_companion_cyclotomic_has_order_p():
         assert all(x == 0 for row in act.sigma() for x in row)
 
 
+def test_sigma_is_computed_once_and_handed_out_as_a_copy(monkeypatch):
+    rng = Random(7)
+    act = conjugate(reiner_action(5, (1, 1, 1)), oracles.random_unimodular(rng, 10))
+    phi = act.phi_rows()
+    want = la.identity(act.rank)
+    power = la.identity(act.rank)
+    for _ in range(act.p - 1):
+        power = la.mat_mul(power, phi)
+        want = [[a + b for a, b in zip(r, s)] for r, s in zip(want, power)]
+    calls = []
+    monkeypatch.setattr(la, "mat_mul", lambda a, b, f=la.mat_mul: calls.append(1) or f(a, b))
+    first = act.sigma()
+    assert first == want and len(calls) == act.p - 1
+    first[0][0] += 7
+    assert act.sigma() == want and len(calls) == act.p - 1
+    fresh = conjugate(reiner_action(5, (1, 1, 1)), oracles.random_unimodular(Random(7), 10))
+    assert act == fresh and hash(act) == hash(fresh)
+
+
 def test_unsupported_primes_rejected():
     with pytest.raises(UnsupportedPrime):
         reiner_action(4, (1, 0, 0))

@@ -1,7 +1,5 @@
 """Normality certificates: chains, weights, counts, Betti numbers."""
 
-from dataclasses import replace
-
 import pytest
 
 from quotlat import (
@@ -176,6 +174,11 @@ def test_simple_criteria_strings(by_name):
 
 
 # ---------------------------------------------------------------- pinned chain reports
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with the named fields changed."""
+    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
 
 
 def _recount(fix, delta):
