@@ -320,7 +320,7 @@ def integer_coordinates(basis, vecs) -> list[list[int]] | None:
     return [[x[i][j] for i in range(k)] for j in range(len(vecs))]
 
 
-@record(frozen=False)
+@record
 class SNFResult:
     u: Matrix
     d: Matrix

@@ -14,6 +14,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 _MISSING = object()
+_setattr = object.__setattr__
 
 
 class FrozenInstanceError(AttributeError):
@@ -27,10 +28,8 @@ class factory:
         self.make = make
 
 
-def record(cls=None, *, frozen: bool = True):
+def record(cls):
     """Class decorator: fields are the annotations along the MRO, bases first."""
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
     spec = {}
     for base in reversed(cls.__mro__[1:]):
         if "_fields" in vars(base):
@@ -48,20 +47,20 @@ def record(cls=None, *, frozen: bool = True):
     def __init__(self, *args, **kwargs):
         if len(args) > len(names):
             raise TypeError(f"{qualname}() takes {len(names)} arguments but {len(args)} were given")
-        given = dict(zip(names, args))
+        for n, v in zip(names, args):
+            _setattr(self, n, v)
         for n in names[len(args) :]:
             if n in kwargs:
-                given[n] = kwargs.pop(n)
+                _setattr(self, n, kwargs.pop(n))
             elif n in defaults:
                 d = defaults[n]
-                given[n] = d.make() if isinstance(d, factory) else d
+                _setattr(self, n, d.make() if isinstance(d, factory) else d)
             else:
                 raise TypeError(f"{qualname}() missing argument {n!r}")
         if kwargs:
             n = next(iter(kwargs))
-            why = "multiple values for" if n in given else "an unexpected keyword"
+            why = "multiple values for" if n in names else "an unexpected keyword"
             raise TypeError(f"{qualname}() got {why} argument {n!r}")
-        self.__dict__.update(given)
         if post_init:
             self.__post_init__()
 
@@ -84,9 +83,6 @@ def record(cls=None, *, frozen: bool = True):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
-    if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
-    else:
-        cls.__hash__ = None
+    cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
     cls._fields, cls._field_defaults = names, defaults
     return cls

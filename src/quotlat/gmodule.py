@@ -17,8 +17,6 @@ chains in `normality` both read them.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import _linalg as la
 from ._record import record
 from .lattice_core import _freeze, _p_power_log, direct_sum
@@ -171,19 +169,14 @@ class PrimeOrderAction:
         return m
 
     def sigma(self) -> list[list[int]]:
-        """1 + phi + ... + phi^(p-1), a fresh copy of the value computed once per action."""
-        return [list(r) for r in self._sigma]
-
-    @cached_property
-    def _sigma(self) -> tuple[tuple[int, ...], ...]:
-        # Horner's rule: s <- 1 + phi s, p - 1 times from s = 1
+        """1 + phi + ... + phi^(p-1), by Horner's rule: s <- 1 + phi s, p - 1 times from s = 1."""
         m = self.phi_rows()
         s = la.identity(self.rank)
         for _ in range(self.p - 1):
             s = la.mat_mul(m, s)
             for i, row in enumerate(s):
                 row[i] += 1
-        return _freeze(s)
+        return s
 
 
 def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
