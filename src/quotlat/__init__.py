@@ -86,7 +86,6 @@ from .toric_weight import (
     WeightValue,
     canonical_exponents,
     hj_expand,
-    hj_value,
     point_type,
     weight_dim2,
     weight_lookup,

@@ -3,9 +3,9 @@
 Everything here operates on plain ``list[list[int]]`` (or ``Fraction``)
 matrices and never touches floating point.  Elimination over Q has one
 fraction-free core, ``echelon_fraction_free``; ``det_bareiss``,
-``rank_rational``, ``inv_rational``, ``solve_in_rowspan`` and
-``integer_coordinates`` wrap it, and ``integer_coordinates`` is the one
-route to an integral solve (an integral inverse is the coordinates of I).
+``rank_rational``, ``solve_in_rowspan`` and ``integer_coordinates`` wrap
+it, and ``integer_coordinates`` is the one route to an integral solve (an
+integral inverse is the coordinates of I).
 Elimination over F_p has one core, ``echelon_mod_p``, behind
 ``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``.  The
 Smith normal form keeps the transforms U, V and V^-1, from which
@@ -254,21 +254,6 @@ def det_bareiss(a) -> int:
 def rank_rational(a) -> int:
     """Rank over Q of an integer or ``Fraction`` matrix: its number of pivots."""
     return len(echelon_fraction_free(a)[1])
-
-
-def inv_rational(a) -> list[list[Fraction]]:
-    """Exact inverse over Q of an integer or ``Fraction`` matrix.
-
-    Eliminates [A | I] and back-substitutes.  Raises ZeroDivisionError on
-    singular input.
-    """
-    n = len(a)
-    rows, pivots, _ = echelon_fraction_free(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    )
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("singular matrix")
-    return _back_substitute(rows, n)
 
 
 def solve_in_rowspan(basis, vec) -> list[Fraction] | None:

@@ -91,9 +91,6 @@ class JordanProfile:
     def rank(self) -> int:
         return sum(q * self.blocks[q] for q in range(1, self.p + 1))
 
-    def l(self, q: int) -> int:
-        return self.blocks[q]
-
     @property
     def l1(self) -> int:
         return self.blocks[1]
@@ -356,64 +353,43 @@ def k3_order5_action() -> PrimeOrderAction:
     U(5)^2 with A4(-1) dual weights; the result is even unimodular of
     signature (3,19), hence the K3 lattice, and each glue line welds one
     fixed direction to a cyclotomic block (Jordan profile (2,0,0,0,4)).
+    The overlattice basis B is kept as the integer matrix 5B.
     """
-    from fractions import Fraction
-
     from .lattice_core import ATOM_GRAMS, rescale
 
     u = ATOM_GRAMS["U"]
-    u5 = tuple(tuple(5 * x for x in row) for row in u)
     a4_neg = rescale(ATOM_GRAMS["A4"], -1)
-    gram_m = [list(r) for r in direct_sum([u, u5, u5] + [a4_neg] * 4)]
+    gram_m = [list(r) for r in direct_sum([u, rescale(u, 5), rescale(u, 5)] + [a4_neg] * 4)]
 
-    cartan = [list(r) for r in ATOM_GRAMS["A4"]]
     cox = la.identity(4)
     for i in range(4):
         refl = la.identity(4)
-        for j in range(4):
-            refl[i][j] -= cartan[i][j]
+        refl[i] = [x - c for x, c in zip(refl[i], ATOM_GRAMS["A4"][i])]
         cox = la.mat_mul(refl, cox)
-    phi_m = [[0] * 22 for _ in range(22)]
-    for i in range(6):
-        phi_m[i][i] = 1
-    for b in range(4):
-        off = 6 + 4 * b
-        for i in range(4):
-            for j in range(4):
-                phi_m[off + i][off + j] = cox[i][j]
+    phi_m = [list(r) for r in direct_sum([la.identity(6)] + [cox] * 4)]
 
-    # dual weight of A4 in root coordinates: Cartan^-1 . e_1 = (4,3,2,1)/5
-    weight = [Fraction(c, 5) for c in (4, 3, 2, 1)]
+    # 5 times the dual weight of A4 in root coordinates: 5 Cartan^-1 e_1
+    weight5 = (4, 3, 2, 1)
     glue_rows = ((1, 2, 0, 0), (2, 1, 0, 0), (0, 0, 1, 2), (0, 0, 2, 1))
-    basis = []
-    for i in range(2):
-        basis.append([Fraction(1 if j == i else 0) for j in range(22)])
+    basis5 = [[5 * x for x in row] for row in la.identity(22)]
     for gi, coeffs in enumerate(glue_rows):
-        row = [Fraction(0)] * 22
-        row[2 + gi] = Fraction(1, 5)
+        row = basis5[2 + gi]
+        row[2 + gi] = 1
         for b, c in enumerate(coeffs):
-            if c:
-                off = 6 + 4 * b
-                for k in range(4):
-                    row[off + k] = c * weight[k]
-        basis.append(row)
-    for i in range(6, 22):
-        basis.append([Fraction(1 if j == i else 0) for j in range(22)])
+            row[6 + 4 * b : 10 + 4 * b] = [c * w for w in weight5]
 
-    gram_l = la.mat_mul(la.mat_mul(basis, gram_m), la.transpose(basis))
-    # points with new coordinates x sit at B^T x, so phi pulls back through B^T
-    bt = la.transpose(basis)
-    phi_l = la.mat_mul(la.mat_mul(la.inv_rational(bt), phi_m), bt)
-    for mat in (gram_l, phi_l):
-        for row in mat:
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise GModuleError("glue data does not close up integrally")
-    gram_l = [[int(x) for x in row] for row in gram_l]
-    phi_l = [[int(x) for x in row] for row in phi_l]
+    gram_25 = la.mat_mul(la.mat_mul(basis5, gram_m), la.transpose(basis5))
+    if any(x % 25 for row in gram_25 for x in row):
+        raise GModuleError("glue data does not close up integrally")
+    gram_l = [[x // 25 for x in row] for row in gram_25]
+    # points with new coordinates x sit at B^T x, so phi pulls back through
+    # B^T: its transpose is the coordinates of B phi_M^T in the rows of B
+    coords = la.integer_coordinates(basis5, la.mat_mul(basis5, la.transpose(phi_m)))
+    if coords is None:
+        raise GModuleError("glue data does not close up integrally")
     if abs(la.det_bareiss(gram_l)) != 1 or any(gram_l[i][i] % 2 for i in range(22)):
         raise GModuleError("overlattice is not even unimodular")
-    return PrimeOrderAction(p=5, phi=_freeze(phi_l), gram=_freeze(gram_l))
+    return PrimeOrderAction(p=5, phi=_freeze(la.transpose(coords)), gram=_freeze(gram_l))
 
 
 # --- symmetric square -------------------------------------------------------
@@ -501,21 +477,6 @@ def conjugate(action: PrimeOrderAction, unimodular) -> PrimeOrderAction:
         wt = la.transpose(w)
         gram = _freeze(la.mat_mul(la.mat_mul(wt, [list(r) for r in action.gram]), w))
     return PrimeOrderAction(p=action.p, phi=_freeze(phi), gram=gram)
-
-
-def averaged_form(action: PrimeOrderAction, seed_form) -> list[list[int]]:
-    """sum_i (phi^T)^i G0 phi^i: a phi-invariant symmetric form from any seed."""
-    n = action.rank
-    g0 = [list(r) for r in seed_form]
-    acc = [row[:] for row in g0]
-    phi = action.phi_rows()
-    power = la.identity(n)
-    for _ in range(action.p - 1):
-        power = la.mat_mul(power, phi)
-        pt = la.transpose(power)
-        term = la.mat_mul(la.mat_mul(pt, g0), power)
-        acc = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(acc, term)]
-    return acc
 
 
 def zero_profile(p: int) -> JordanProfile:
@@ -639,13 +600,16 @@ def free_torsion_rank(cp: CohomologyProfile, k: int) -> int:
 
 def vanishing_conditions(cp: CohomologyProfile, top: int) -> tuple[bool, bool]:
     """(no size-(p-1) blocks in even degrees 2..top, no size-1 blocks in odd
-    degrees below top); the odd condition is waived when top <= 2.
+    degrees below top).
 
     These replace degeneration of the equivariant spectral sequence over Z
-    up to degree top; p = 2 reads the sign split as usual.
+    up to degree top; p = 2 reads the sign split as usual.  The odd
+    condition applies at top = 2 too: a size-1 block in H^1 lets d_2 hit
+    E_2^(2,0), as in every free action on a torus (Charlap, Bieberbach
+    Groups and Flat Manifolds, 1986).
     """
     even_ok = all(cp.l_pm1(d) == 0 for d in range(2, top + 1, 2))
-    odd_ok = top <= 2 or all(cp.l1(d) == 0 for d in range(1, top, 2))
+    odd_ok = all(cp.l1(d) == 0 for d in range(1, top, 2))
     return even_ok, odd_ok
 
 
@@ -657,8 +621,8 @@ def free_quotient_cohomology(
     The free rank is the invariant rank in degree k and the p-torsion rank
     is free_torsion_rank(cp, k).  The caller either asserts degeneration of
     the equivariant spectral sequence over Z, or the vanishing conditions
-    that replace it must hold up to degree k (up to k - 1 for odd k, which
-    then carries invariants only); otherwise HypothesesNotMet.
+    that replace it must hold up to degree k (up to k - 1 for odd k, where
+    they make free_torsion_rank vanish); otherwise HypothesesNotMet.
     """
     if not 0 <= k <= 2 * cp.dimension:
         raise GModuleError(f"degree {k} out of range 0..{2 * cp.dimension}")
@@ -666,14 +630,8 @@ def free_quotient_cohomology(
         raise HypothesesNotMet("H^*(X, Z) must be torsion-free")
     # both conditions only tighten as top grows, so an odd k is covered
     # exactly when the even degree k - 1 below it is
-    covered = all(vanishing_conditions(cp, k - k % 2))
-    if e2_degenerate_over_z or (covered and k % 2 == 0):
-        torsion_rank = free_torsion_rank(cp, k)
-    elif covered:
-        # the odd degree above a covered even degree carries invariants only
-        torsion_rank = 0
-    else:
+    if not (e2_degenerate_over_z or all(vanishing_conditions(cp, k - k % 2))):
         raise HypothesesNotMet(
             f"degree {k}: no degeneration flag and the vanishing conditions fail"
         )
-    return CohomologyGroup(free_rank=cp.invariant_rank(k), torsion=(cp.p,) * torsion_rank)
+    return CohomologyGroup(free_rank=cp.invariant_rank(k), torsion=(cp.p,) * free_torsion_rank(cp, k))

@@ -126,9 +126,6 @@ class HilbertSquare:
         out.append([0] * self.n + [DELTA_SQUARE])
         return out
 
-    def bb_lattice(self) -> GramLattice:
-        return GramLattice(self.bb_gram(), name="H2(S[2])")
-
     def bb(self, x: H2Class, y: H2Class) -> int:
         acc = x.delta * y.delta * DELTA_SQUARE
         for i, xi in enumerate(x.gamma):

@@ -3,10 +3,11 @@
 A lattice is a free Z-module with a nondegenerate symmetric integer Gram
 matrix.  All arithmetic is exact (Python integers and fractions): invariants
 are rank, signed determinant, signature and the discriminant group read off
-a Smith normal form.  The module also provides the constructions the rest of
-the package is built from: rescaled duals, finite-index sublattices,
-overlattices obtained by dividing glue vectors by a prime, Gauss reduction of
-definite binary forms, and a parser for direct-sum lattice expressions.
+a Smith normal form.  The rest of the package builds on rescaled duals,
+direct sums, Gauss reduction of definite binary forms and a parser for
+direct-sum lattice expressions.  Finite-index sublattices and overlattices
+obtained by dividing glue vectors by a prime are exported for callers of the
+library; nothing in the package itself uses them.
 """
 
 from __future__ import annotations

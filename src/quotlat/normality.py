@@ -66,7 +66,6 @@ __all__ = [
     "MiddleBlocksPresent",
     "UnsupportedPrime",
     "NonIntegralResult",
-    "classify_fixed_point",
     "check_simple_criteria",
     "check_theorem_main",
     "check_th3",
@@ -156,17 +155,6 @@ class FixedPointLocal:
     @property
     def ambient_dimension(self) -> int:
         return len(self.exponents)
-
-
-def classify_fixed_point(fp: FixedPointLocal) -> tuple[int | None, bool]:
-    """(type, quotient smooth at the image point).
-
-    Type 0: at most one nonzero exponent, a quasi-reflection, and the
-    quotient stays smooth.  Type 1: the nonzero exponents are all equal.
-    Type 2: p = 3 and neither.  None stands for the remaining cases.
-    """
-    t = point_type(fp.p, fp.exponents)
-    return t, t == 0
 
 
 @record

@@ -282,10 +282,13 @@ def _parse_weight(value, path):
     if value is None:
         return None
     if _is_int(value):
-        return WeightValue.known(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
-        return WeightValue(value[0], value[1])
-    raise SchemaError(path, "weight must be an integer, a [lo, hi] pair, or null")
+        value = [value, value]
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+        raise SchemaError(path, "weight must be an integer, a [lo, hi] pair, or null")
+    try:
+        return WeightValue(*value)
+    except ValueError as exc:  # bounds outside 0 <= lo <= hi <= 2
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _parse_fixed_locus(p, record, path):

@@ -18,7 +18,6 @@ no fan machinery is attempted beyond surfaces.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import _linalg as la
 from ._record import record
@@ -69,14 +68,6 @@ def hj_expand(n: int, q: int) -> list[int]:
         out.append(a)
         n, q = q, a * q - n
     return out
-
-
-def hj_value(coeffs: list[int]) -> Fraction:
-    """Evaluate [a_1, ..., a_k] back to a_1 - 1/(a_2 - ...)."""
-    val = Fraction(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        val = a - 1 / val
-    return val
 
 
 def _resolve_cone(a: Vec2, b: Vec2) -> list[Vec2]:

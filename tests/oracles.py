@@ -265,25 +265,6 @@ def bareiss_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def fraction_inverse(a) -> list[list[Fraction]]:
-    """Raises ZeroDivisionError on singular input."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [x / lead for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 def fraction_solve_in_rowspan(basis, vec) -> list[Fraction] | None:
     """Raises ValueError on dependent basis rows."""
     k = len(basis)

@@ -1,6 +1,7 @@
 """Order-p actions: Jordan profiles, symmetric squares, group cohomology."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import pkgutil
@@ -34,7 +35,6 @@ from quotlat.gmodule import (
     HypothesesNotMet,
     NotAnOrderPAction,
     UnsupportedPrime,
-    averaged_form,
     companion_cyclotomic,
     reiner_block,
 )
@@ -360,15 +360,6 @@ def test_a_invariant_counts_glued_blocks():
         assert a_invariant(reiner_action(p, counts)) == counts[2]
 
 
-def test_averaged_form_is_preserved():
-    act = reiner_action(3, (1, 1, 1))
-    n = act.rank
-    seed = tuple(tuple(2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(n)) for i in range(n))
-    g = averaged_form(act, seed)
-    preserved = PrimeOrderAction(p=3, phi=act.phi, gram=tuple(tuple(r) for r in g))
-    assert preserved.gram is not None
-
-
 # ---------------------------------------------------------------- K3, order 5
 
 
@@ -378,6 +369,14 @@ def test_k3_order5_action_profile():
     assert act.gram is not None
     assert jordan_profile(act).blocks == (0, 2, 0, 0, 0, 4)
     assert a_invariant(act) == 4
+
+
+def test_k3_order5_action_matrices_are_pinned():
+    """phi and the Gram matrix entry for entry, not only their profile: the
+    digest of repr((phi, gram)) as the construction first produced them."""
+    act = k3_order5_action()
+    digest = hashlib.sha256(repr((act.phi, act.gram)).encode()).hexdigest()
+    assert digest == "385ba3da10f9750c9171846ed9f5b61f1a7d03c8f47a1d4d62287b2f75d1d56a"
 
 
 def test_k3_order5_symmetric_square_profile():
@@ -411,7 +410,8 @@ def _p2_profile(plus, minus, free):
 
 
 # Threefolds given by degrees 1..3 (4 and 5 mirror 2 and 1).  "p3_odd_l1"
-# breaks the odd vanishing condition, "p2_even_minus" the even one.
+# breaks the odd vanishing condition from degree 2 on, "p2_even_minus" the
+# even one.
 DIM3_PROFILES = {
     "p3": (3, [JordanProfile(3, b) for b in ((0, 0, 1, 0), (0, 2, 0, 1), (0, 0, 2, 1))]),
     "p3_odd_l1": (3, [JordanProfile(3, b) for b in ((0, 1, 1, 0), (0, 2, 0, 1), (0, 0, 2, 1))]),
@@ -423,7 +423,7 @@ DIM3_PROFILES = {
 DIM3_QUOTIENTS = {
     ("p3", False): [(1, 0), (0, 0), (3, 2), (1, 0), (3, 6), (0, 0), (1, 9)],
     ("p3", True): [(1, 0), (0, 0), (3, 2), (1, 0), (3, 6), (0, 0), (1, 9)],
-    ("p3_odd_l1", False): [(1, 0), (1, 0), (3, 2), (1, 0), None, None, None],
+    ("p3_odd_l1", False): [(1, 0), (1, 0), None, None, None, None, None],
     ("p3_odd_l1", True): [(1, 0), (1, 0), (3, 2), (1, 1), (3, 6), (1, 1), (1, 9)],
     ("p2_even_minus", False): [(1, 0), (1, 0), None, None, None, None, None],
     ("p2_even_minus", True): [(1, 0), (1, 0), (2, 1), (1, 2), (2, 4), (1, 3), (1, 5)],
@@ -441,3 +441,20 @@ def test_free_quotient_cohomology_dim3_frozen(name, degenerate):
             continue
         group = free_quotient_cohomology(cp, k, e2_degenerate_over_z=degenerate)
         assert (group.free_rank, group.torsion) == (want[0], (p,) * want[1])
+
+
+def test_free_quotient_declines_the_mapping_torus_of_a_shift():
+    """X = S^1 x T^3 with g(s, x) = (s + 1/3, cyclic shift of x) is free.
+
+    X/G is the mapping torus of the shift on T^3, so by the Wang sequence
+    H^1 = Z^2 and H^2 = Z^2 with no torsion.  The trivial block in H^1
+    lets d_2: E_2^(0,1) -> E_2^(2,0) act, so the block formula (Z^2 + Z/3
+    in degree 2) does not apply from degree 2 on.
+    """
+    counts = ((1, 0), (1, 1), (0, 2), (1, 1), (1, 0))
+    cp = CohomologyProfile(2, tuple(JordanProfile(3, (0, l1, 0, l3)) for l1, l3 in counts))
+    assert free_quotient_cohomology(cp, 0) == gmodule.CohomologyGroup(1, ())
+    assert free_quotient_cohomology(cp, 1) == gmodule.CohomologyGroup(2, ())
+    for k in (2, 3, 4):
+        with pytest.raises(HypothesesNotMet):
+            free_quotient_cohomology(cp, k)

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
@@ -23,6 +24,7 @@ from unittest import mock
 
 import pytest
 
+import quotlat
 from quotlat.cli import main
 from quotlat.scenario import catalog_dir
 
@@ -94,6 +96,18 @@ def test_failed_runs_print_nothing_to_stdout():
 @pytest.mark.parametrize("argv", golden_argvs(), ids=" ".join)
 def test_cli_output_is_byte_identical(argv):
     assert run_cli(argv) == _recorded()[shlex.join(argv)]
+
+
+@pytest.mark.parametrize("argv", [["verify-paper"], ["verify-paper", "--format", "json"]], ids=" ".join)
+def test_verify_paper_is_byte_identical_under_python_O(argv):
+    """A fresh `python -O` process prints the recorded run: every invariant
+    check raises a typed error (no module has an assert, see
+    test_gmodule.test_module_has_no_asserts), so none is stripped."""
+    src = str(Path(quotlat.__file__).parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-O", "-m", "quotlat.cli", *argv], env=env, capture_output=True, text=True)
+    assert [run.returncode, run.stdout, run.stderr] == _recorded()[shlex.join(argv)]
 
 
 if __name__ == "__main__":

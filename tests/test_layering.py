@@ -7,6 +7,10 @@ of a module, so an import inside a function body counts too.
 Every CLI run is a fresh process, so the import budget is checked here as
 well: no module compiles code at run time or imports `dataclasses`, and
 `import quotlat.cli` loads neither `dataclasses` nor `inspect`.
+
+Every top-level definition has a use: another top-level statement of the
+package names it, the package `__init__` re-exports it, or the benchmark
+tracer (`perfbench/tracer.py`, read here with ast) wraps it by name.
 """
 
 import ast
@@ -75,3 +79,44 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     code = "import sys, quotlat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _names_used(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def _traced_names() -> set[tuple[str, str]]:
+    """(module, name) of each class or function that the tracer's LAYERS wraps."""
+    tracer = Path(quotlat.__file__).parents[2] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
+            layers = [ast.literal_eval(v) for v in node.value.values]
+            return {(module.rsplit(".", 1)[1], cls or attr) for module, cls, attr in layers}
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_every_top_level_definition_has_a_use():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    exported = {
+        a.asname or a.name
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    statements = [
+        node for tree in trees.values() for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    used = {id(node): _names_used(node) for node in statements}
+    traced = _traced_names()
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and (module, node.name) not in traced
+        and not any(node.name in used[id(other)] for other in statements if other is not node)
+    ]
+    assert unused == []

@@ -110,38 +110,6 @@ def test_det_bareiss_edge_cases():
     assert la.det_bareiss([[1, 2], [0, 0]]) == 0
 
 
-@given(st.integers(0, 10**6), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_inv_rational_matches_sympy(seed, fractions):
-    rng = Random(seed)
-    n = rng.randint(1, 7)
-    m = low_rank_matrix(rng, n, n, n)
-    if fractions:
-        m = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in m]
-    if oracles.rank_rational(m) < n:
-        with pytest.raises(ZeroDivisionError):
-            la.inv_rational(m)
-        with pytest.raises(ZeroDivisionError):
-            oracles.fraction_inverse(m)
-        return
-    inv = la.inv_rational(m)
-    assert inv == oracles.inverse(m) == oracles.fraction_inverse(m)
-    assert all(isinstance(x, Fraction) for row in inv for x in row)
-
-
-@pytest.mark.parametrize("m", [[[0]], [[1, 2], [2, 4]], [[0, 1, 0], [0, 0, 1], [0, 2, 3]],
-                               [[Fraction(1, 2), 1], [1, 2]]])
-def test_inv_rational_rejects_singular(m):
-    with pytest.raises(ZeroDivisionError):
-        la.inv_rational(m)
-
-
-def test_inv_rational_edge_cases():
-    assert la.inv_rational([]) == []
-    assert la.inv_rational([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
-    assert la.inv_rational([[Fraction(2, 3)]]) == [[Fraction(3, 2)]]
-
-
 @given(st.integers(0, 10**6), st.sampled_from(("integral", "rational", "outside")))
 @settings(max_examples=80, deadline=None)
 def test_solve_in_rowspan_matches_sympy(seed, case):

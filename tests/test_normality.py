@@ -31,7 +31,6 @@ from quotlat.normality import (
     UnsupportedPrime,
     WeightTwoPresent,
     WeightUnknown,
-    classify_fixed_point,
 )
 from quotlat.toric_weight import WeightValue
 
@@ -49,13 +48,6 @@ def test_fixed_point_local_validation():
     fp = FixedPointLocal(5, (4, 1))
     assert fp.exponents == (1, 4)
     assert fp.is_isolated
-
-
-def test_classify_fixed_point():
-    assert classify_fixed_point(FixedPointLocal(5, (0, 1))) == (0, True)
-    assert classify_fixed_point(FixedPointLocal(5, (2, 2))) == (1, False)
-    assert classify_fixed_point(FixedPointLocal(3, (1, 2))) == (2, False)
-    assert classify_fixed_point(FixedPointLocal(5, (1, 2, 3, 4))) == (None, False)
 
 
 def test_isolated_points_defaults_weight_from_table():
@@ -197,11 +189,23 @@ def _odd_size_1_blocks(cp):
     return replace(cp, profiles=tuple(profiles))
 
 
+def _h1_trivial_block(cp):
+    """cp with one more trivial block (a + block for p = 2) in H^1 and its dual degree."""
+    profiles = list(cp.profiles)
+    for d in (1, 2 * cp.dimension - 1):
+        jp = profiles[d]
+        blocks = (0, jp.blocks[1] + 1, *jp.blocks[2:])
+        plus = None if jp.plus_rank is None else jp.plus_rank + 1
+        profiles[d] = replace(jp, blocks=blocks, plus_rank=plus)
+    return replace(cp, profiles=tuple(profiles))
+
+
 CHAIN_MUTATIONS = {
     "as_declared": lambda cp, fix: (cp, fix),
     "torsion_in_x": lambda cp, fix: (replace(cp, torsion_free=False), fix),
     "torsion_in_fix": lambda cp, fix: (cp, replace(fix, torsion_free=False)),
     "odd_size_1_blocks": lambda cp, fix: (_odd_size_1_blocks(cp), fix),
+    "h1_trivial_block": lambda cp, fix: (_h1_trivial_block(cp), fix),
     "one_point_less": lambda cp, fix: (cp, _recount(fix, -1)),
     "two_points_more": lambda cp, fix: (cp, _recount(fix, 2)),
 }
@@ -355,6 +359,21 @@ CHAIN_CASES = [
             "  [x] no_size_pm1_blocks_in_even_degrees",
             "  [x] no_size_1_blocks_in_odd_degrees",
             "  note: sum of weights over 9 points = 9",
+        ],
+    ),
+    (
+        # mid = 2: a trivial block in H^1 is not waived
+        "check_theorem_main", "Abar", "h1_trivial_block",
+        [
+            "H^2: Unknown  (main chain (p=2 split); alpha in [0, 3])",
+            "  chain 16 >= 16 >= 10; parity not checked",
+            "  [x] torsion_free_cohomology",
+            "  [x] fix_negligible_or_almost_negligible (negligible)",
+            "  [x] all_fixed_points_type_1",
+            "  [x] no_size_pm1_blocks_in_even_degrees",
+            "  [ ] no_size_1_blocks_in_odd_degrees",
+            "  [x] fix_cohomology_torsion_free",
+            "  [x] codim_at_least_half_plus_one",
         ],
     ),
 ]

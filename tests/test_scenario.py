@@ -200,6 +200,10 @@ MALFORMED = [
     ("expected.betti[1]", _set("expected.betti", [2, "4"])),
     ("sym2_cokernel_torsion[0]", _set("sym2_cokernel_torsion", [True])),
     ("notes[0]", _set("notes", [5])),
+    # declared weights outside 0 <= lo <= hi <= 2
+    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{"exponents": [1, 1], "count": 2, "weight": 5}])),
+    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{"exponents": [1, 1], "count": 2, "weight": [2, 1]}])),
+    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{"exponents": [1, 1], "count": 2, "weight": [-1, 1]}])),
 ]
 
 
