@@ -6,7 +6,8 @@ gives it: ``__init__`` (then ``__post_init__``), field-wise ``__eq__`` and
 method is a closure over the class's field-name tuple ``_fields``; nothing
 is compiled with ``exec``, and ``dataclasses`` (which imports ``inspect``
 and ``ast``) is never imported.  Short CLI processes pay for every class
-quotlat defines, so this keeps ``import quotlat.cli`` cheap.
+quotlat defines, so this keeps ``import quotlat.cli`` cheap.  ``replace``
+copies a record with some fields changed, as ``dataclasses.replace`` does.
 """
 
 from __future__ import annotations
@@ -86,3 +87,8 @@ def record(cls):
     cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
     cls._fields, cls._field_defaults = names, defaults
     return cls
+
+
+def replace(obj, **changes):
+    """obj with the named fields changed, rebuilt so ``__post_init__`` checks it."""
+    return obj.__class__(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})

@@ -39,7 +39,7 @@ from .lattice_core import (
     parse_lattice_expr,
     smith_normal_form,
 )
-from .normality import NormalityError
+from .normality import UNKNOWN, NormalityError
 from .scenario import Scenario, catalog_verify, find_scenario, run_normality, run_route, scenario_quotient
 from .toric_weight import ClassificationFailure, canonical_exponents, point_type, weight_dim2, weight_lookup
 
@@ -168,7 +168,7 @@ def cmd_normality(args) -> int:
         if want is not None and report.verdict != want:
             print(f"  MISMATCH: expected {want}")
             ok = False
-        if report.verdict == "Unknown":
+        if report.verdict == UNKNOWN:
             ok = False
     return 0 if ok else 1
 

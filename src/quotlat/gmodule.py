@@ -4,9 +4,10 @@ For an automorphism phi of order p acting on Z^n, the F_p[G]-module
 structure of Z^n/p is encoded by the Jordan profile (l_1, ..., l_p): l_q
 counts unipotent Jordan blocks of size q of phi over F_p.  For torsion-free
 actions of prime order p <= 19 only sizes 1, p-1 and p occur; for p = 2 the
-size-1 count splits into integral +1 and -1 eigenlattice contributions.
-These counts drive everything downstream: invariant-lattice discriminants,
-group cohomology, symmetric-square profiles and normality chains.
+size-1 count splits into the trivial and the sign module (Reiner 1957), and
+`JordanProfile` alone reads them in the roles of l_1 and l_(p-1).  These
+counts drive everything downstream: invariant-lattice discriminants, group
+cohomology, symmetric-square profiles and normality chains.
 
 Two helpers state the free-quotient formulas once: `free_torsion_rank`
 (the p-torsion rank T of H^k of a free quotient) and
@@ -61,7 +62,10 @@ class JordanProfile:
 
     blocks[q] = number of unipotent blocks of size q (1 <= q <= p).  For
     p = 2, plus_rank/minus_rank split blocks[1] into the ranks of the
-    integral +1 and -1 eigenlattices outside the free Z[G] part.
+    integral +1 and -1 eigenlattices outside the free Z[G] part: the trivial
+    module Z plays the role of l_1 and the sign module Z[zeta_2] the role
+    of l_(p-1), so `l1` and `l_pm1` return them and every formula built on
+    these counts holds for p = 2 as written.
     """
 
     p: int
@@ -93,12 +97,13 @@ class JordanProfile:
 
     @property
     def l1(self) -> int:
-        return self.blocks[1]
+        """Size-1 blocks, or the + eigenlattice rank when p = 2."""
+        return self.plus_rank if self.p == 2 else self.blocks[1]
 
     @property
     def l_pm1(self) -> int:
-        """Count of size p-1 blocks (zero by convention when p = 2)."""
-        return self.blocks[self.p - 1] if self.p > 2 else 0
+        """Size-(p-1) blocks, or the - eigenlattice rank when p = 2."""
+        return self.minus_rank if self.p == 2 else self.blocks[self.p - 1]
 
     @property
     def lp(self) -> int:
@@ -259,8 +264,7 @@ def group_cohomology(action: PrimeOrderAction, i: int) -> CohomologyGroup:
     i = 0 gives the invariants (free); for i >= 1 the groups are 2-periodic:
     odd i gives ker(sigma)/im(tau), even i gives ker(tau)/im(sigma).  The
     explicit kernel/image computation is cross-checked against the Jordan
-    profile formula ((Z/p)^(l_(p-1)) odd / (Z/p)^(l_1) even; for p = 2 the
-    minus and plus eigenlattice ranks take those roles).
+    profile formula: (Z/p)^(l_(p-1)) in odd and (Z/p)^(l_1) in even degrees.
     """
     if i < 0:
         raise GModuleError("cohomological degree must be nonnegative")
@@ -273,10 +277,7 @@ def group_cohomology(action: PrimeOrderAction, i: int) -> CohomologyGroup:
     else:
         group = _quotient_group(la.kernel_basis(tau), la.image_basis(sigma))
     profile = jordan_profile(action)
-    if action.p == 2:
-        expected = profile.minus_rank if i % 2 else profile.plus_rank
-    else:
-        expected = profile.l_pm1 if i % 2 else profile.l1
+    expected = profile.l_pm1 if i % 2 else profile.l1
     if group.free_rank != 0 or any(d != action.p for d in group.torsion):
         raise GModuleError(f"H^{i} is not p-elementary: {group}")
     if len(group.torsion) != expected:
@@ -425,41 +426,30 @@ def sym2_profile(profile: JordanProfile) -> JordanProfile:
         raise GModuleError("profile has middle blocks; closed formula unavailable")
     l1, lq, lp = profile.l1, profile.l_pm1, profile.lp
     if p == 2:
-        lpl, lmi, l2 = profile.plus_rank, profile.minus_rank, profile.lp
-        if lpl is None or lmi is None:
-            raise GModuleError("p = 2 requires the eigenlattice split")
-        # Products of eigenvectors multiply signs; each free block Z[G] has
+        # l1/lq are the +/- eigenlattice ranks and products of eigenvectors
+        # multiply signs; each free block Z[G] has
         # Sym^2(Z[G]) = Z(+).(xy) + Z[G].(x^2, y^2).
-        new_plus = lpl * (lpl + 1) // 2 + lmi * (lmi + 1) // 2 + l2
-        new_minus = lpl * lmi
-        new_l2 = (lpl + lmi) * l2 + l2 * l2
-        blocks = [0, new_plus + new_minus, new_l2]
-        out = JordanProfile(
-            p=2, blocks=tuple(blocks), plus_rank=new_plus, minus_rank=new_minus
-        )
-        _check_sym2_rank(profile, out)
-        return out
-    new = [0] * (p + 1)
-    new[1] = l1 * (l1 + 1) // 2 + lq * (lq - 1) // 2
-    if p > 2:
+        plus = l1 * (l1 + 1) // 2 + lq * (lq + 1) // 2 + lp
+        minus = l1 * lq
+        free = (l1 + lq) * lp + lp * lp
+        out = JordanProfile(p=2, blocks=(0, plus + minus, free), plus_rank=plus, minus_rank=minus)
+    else:
+        new = [0] * (p + 1)
+        new[1] = l1 * (l1 + 1) // 2 + lq * (lq - 1) // 2
         new[p - 1] = lq * l1
-    new[p] = (
-        (p + 1) // 2 * lp
-        + p * lp * (lp - 1) // 2
-        + (p - 1) // 2 * lq
-        + (p - 1) * lp * lq
-        + lp * l1
-        + (p - 2) * lq * (lq - 1) // 2
-    )
-    out = JordanProfile(p=p, blocks=tuple(new))
-    _check_sym2_rank(profile, out)
-    return out
-
-
-def _check_sym2_rank(profile: JordanProfile, out: JordanProfile) -> None:
+        new[p] = (
+            (p + 1) // 2 * lp
+            + p * lp * (lp - 1) // 2
+            + (p - 1) // 2 * lq
+            + (p - 1) * lp * lq
+            + lp * l1
+            + (p - 2) * lq * (lq - 1) // 2
+        )
+        out = JordanProfile(p=p, blocks=tuple(new))
     n = profile.rank
     if out.rank != n * (n + 1) // 2:
         raise GModuleError(f"Sym^2 rank mismatch: {out.rank} != {n * (n + 1) // 2}")
+    return out
 
 
 def conjugate(action: PrimeOrderAction, unimodular) -> PrimeOrderAction:
@@ -502,9 +492,8 @@ class CohomologyProfile:
     dimension is the complex dimension of X, so degrees run from 0 to
     2*dimension.  Degree 0 and the top degree always carry the trivial
     rank-1 module, and total ranks obey Poincare symmetry.  The accessors
-    l1/l_pm1 dispatch to the eigenlattice split for p = 2: the + rank
-    plays the role of l_1 and the - rank the role of l_(p-1) in every
-    formula built on these counts.
+    l1/l_pm1 forward to `JordanProfile`, which reads the eigenlattice split
+    for p = 2.
     """
 
     dimension: int
@@ -524,7 +513,7 @@ class CohomologyProfile:
             raise GModuleError("all degrees must share the same prime")
         for k in (0, 2 * self.dimension):
             end = self.profiles[k]
-            if end.rank != 1 or end.l1 != 1 or (p == 2 and end.plus_rank != 1):
+            if end.rank != 1 or end.l1 != 1:
                 raise GModuleError(f"degree {k} must be the trivial rank-1 module")
         for k in range(2 * self.dimension + 1):
             if self.profiles[k].rank != self.profiles[2 * self.dimension - k].rank:
@@ -567,18 +556,14 @@ class CohomologyProfile:
         return self.profile(k).rank
 
     def l1(self, k: int) -> int:
-        """l_1^k, read as l_(1,+)^k when p = 2."""
-        jp = self.profile(k)
-        return jp.plus_rank if self.p == 2 else jp.l1
+        return self.profile(k).l1
 
     def l1_total(self, k: int) -> int:
         """Total count of size-1 blocks regardless of the sign split."""
-        return self.profile(k).l1
+        return self.profile(k).blocks[1]
 
     def l_pm1(self, k: int) -> int:
-        """l_(p-1)^k, read as l_(1,-)^k when p = 2."""
-        jp = self.profile(k)
-        return jp.minus_rank if self.p == 2 else jp.l_pm1
+        return self.profile(k).l_pm1
 
     def lp(self, k: int) -> int:
         return self.profile(k).lp

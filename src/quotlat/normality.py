@@ -12,13 +12,15 @@ data carried by a scenario, always itemizing every hypothesis it used.
 
 Conventions.  X has complex dimension cp.dimension, so the middle degree
 is cp.dimension itself and an even dimension is written 2n when a
-theorem needs the half.  For p = 2 every count dispatches to the
-eigenlattice split: l_(1,+) plays the role of l_1 and l_(1,-) the role
-of l_(p-1).  A checker distinguishes three outcomes: a hypothesis fails
-(Unknown verdict, with the failing item visible), the certificate
-applies and its equality holds (Normal), or the input data contradicts
-an inequality the certificate guarantees (an exception, because such a
-scenario cannot exist).
+theorem needs the half.  For p = 2 every count reads the eigenlattice
+split, as `gmodule.JordanProfile` states once: l_(1,+) plays the role of
+l_1 and l_(1,-) the role of l_(p-1).  A checker distinguishes three
+outcomes: a hypothesis fails (Unknown verdict, with the failing item
+visible), the certificate applies and its equality holds (Normal), or the
+input data contradicts an inequality the certificate guarantees (an
+exception, because such a scenario cannot exist).  `_verdict` states the
+rule "Normal with alpha = 0 exactly when every listed hypothesis holds"
+once for the surface count, the descent and the simple rank criteria.
 
 The main, stable order-3 and weight chains share one sandwich,
     l_1^mid + 2*T  >=  (a count from Fix G)  >=  2*T - slack,
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from ._record import record
+from ._record import record, replace
 from .gmodule import (
     SUPPORTED_PRIMES,
     CohomologyProfile,
@@ -384,6 +386,15 @@ def _require_supported(p: int) -> None:
         raise UnsupportedPrime(f"certificates cover primes up to 19, got {p}")
 
 
+def _verdict(degree, criterion, hyps, unknown_alpha=(0, None), **normal_only) -> NormalityReport:
+    """Normal with alpha = 0 and the normal_only fields when every hypothesis
+    in hyps holds; otherwise Unknown with unknown_alpha and no chain, parity
+    or notes."""
+    if all(ok for _, ok in hyps):
+        return NormalityReport(degree, NORMAL, criterion, tuple(hyps), (0, 0), **normal_only)
+    return NormalityReport(degree, UNKNOWN, criterion, tuple(hyps), unknown_alpha)
+
+
 def _etsi_bounds(cp: CohomologyProfile) -> tuple[int, int | None]:
     """alpha_mid lies in [0, l_1^mid / 2] on torsion-free cohomology."""
     return (0, cp.l1(cp.dimension) // 2) if cp.torsion_free else (0, None)
@@ -400,13 +411,7 @@ def check_simple_criteria(cp: CohomologyProfile, k: int) -> NormalityReport:
     l1k = cp.l1(k)
     hyps = [("torsion_free_cohomology", cp.torsion_free)]
     if cp.torsion_free and l1k == 0:
-        return NormalityReport(
-            degree=k,
-            verdict=NORMAL,
-            criterion_used="invariants generated by norms (l_1 = 0)",
-            hypotheses=(*hyps, ("l1_vanishes", True)),
-            alpha_bounds=(0, 0),
-        )
+        return _verdict(k, "invariants generated by norms (l_1 = 0)", [*hyps, ("l1_vanishes", True)])
     if cp.torsion_free and k == cp.dimension and l1k == 1:
         return NormalityReport(
             degree=k,
@@ -415,14 +420,8 @@ def check_simple_criteria(cp: CohomologyProfile, k: int) -> NormalityReport:
             hypotheses=(*hyps, ("l1_vanishes", False), ("middle_l1_is_one", True)),
             alpha_bounds=(0, 0),
         )
-    bounds = _etsi_bounds(cp) if k == cp.dimension else (0, None)
-    return NormalityReport(
-        degree=k,
-        verdict=UNKNOWN,
-        criterion_used="simple rank criteria",
-        hypotheses=(*hyps, ("l1_vanishes", False), ("middle_l1_is_one", False)),
-        alpha_bounds=bounds,
-    )
+    hyps += [("l1_vanishes", False), ("middle_l1_is_one", False)]
+    return _verdict(k, "simple rank criteria", hyps, _etsi_bounds(cp) if k == cp.dimension else (0, None))
 
 
 def _types_all_one(fix: FixedLocusSummary, p: int) -> bool:
@@ -560,14 +559,7 @@ def _split_order3_fixed_locus(fix: FixedLocusSummary, n: int):
             eta += 1
         else:
             raise NotStable(f"type-2 component {c.local.exponents} is not a stable-list curve")
-    f1 = FixedLocusSummary(
-        isolated=tuple(f1_points),
-        components=tuple(f1_components),
-        torsion_free=fix.torsion_free,
-        sigma_simply_connected=fix.sigma_simply_connected,
-        sigma_class_primitive=fix.sigma_class_primitive,
-    )
-    return f1, n2, eps, eta
+    return replace(fix, isolated=f1_points, components=f1_components), n2, eps, eta
 
 
 def check_th3(cp: CohomologyProfile, fix: FixedLocusSummary) -> NormalityReport:
@@ -704,10 +696,10 @@ def weight_solve(cp: CohomologyProfile, fix: FixedLocusSummary) -> WeightSolutio
 def surface_fix_count(cp: CohomologyProfile) -> int:
     """#Fix that the degree-2 profile forces on a surface with b_1 = 0.
 
-    Every fixed point has weight 1, so #Fix = 2 + l_1^2 + l_(p-1)^2 for
-    odd p and 2 + l_1^2 (total size-1 count) for p = 2.
+    Every fixed point has weight 1, so #Fix = 2 + l_1^2 + l_(p-1)^2; for
+    p = 2 that is the total size-1 count plus 2.
     """
-    return 2 + cp.l1_total(2) + (cp.l_pm1(2) if cp.p > 2 else 0)
+    return 2 + cp.l1(2) + cp.l_pm1(2)
 
 
 def check_surface(
@@ -738,24 +730,14 @@ def check_surface(
         ("fix_nonempty", not fix.is_empty),
         (minus_name, cp.l_pm1(2) == 0),
     ]
-    chain = (cp.l1(2) + 2, fix.point_count, 2)
-    if all(ok for _, ok in hyps):
-        return NormalityReport(
-            degree=2,
-            verdict=NORMAL,
-            criterion_used="simply connected surface count",
-            hypotheses=tuple(hyps),
-            alpha_bounds=(0, 0),
-            parity_ok=True,
-            inequality_chain=chain,
-            notes=("every surface fixed point has weight 1",),
-        )
-    return NormalityReport(
-        degree=2,
-        verdict=UNKNOWN,
-        criterion_used="simply connected surface count",
-        hypotheses=tuple(hyps),
-        alpha_bounds=_etsi_bounds(cp),
+    return _verdict(
+        2,
+        "simply connected surface count",
+        hyps,
+        _etsi_bounds(cp),
+        parity_ok=True,
+        inequality_chain=(cp.l1(2) + 2, fix.point_count, 2),
+        notes=("every surface fixed point has weight 1",),
     )
 
 
@@ -802,18 +784,4 @@ def propagate_power(
         ("sym_power_injective_mod_p", sym_injective),
         ("image_invariantly_complemented", complement_stable),
     ]
-    if all(ok for _, ok in hyps):
-        return NormalityReport(
-            degree=k,
-            verdict=NORMAL,
-            criterion_used=f"descent from H^{report_kt.degree} through Sym^{t}",
-            hypotheses=tuple(hyps),
-            alpha_bounds=(0, 0),
-        )
-    return NormalityReport(
-        degree=k,
-        verdict=UNKNOWN,
-        criterion_used=f"descent from H^{report_kt.degree} through Sym^{t}",
-        hypotheses=tuple(hyps),
-        alpha_bounds=(0, None),
-    )
+    return _verdict(k, f"descent from H^{report_kt.degree} through Sym^{t}", hyps)

@@ -20,7 +20,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from ._record import factory, record
+from ._record import factory, record, replace
 from .gmodule import (
     CohomologyProfile,
     JordanProfile,
@@ -38,6 +38,8 @@ from .lattice_core import (
 )
 from .normality import (
     NORMAL,
+    NOT_NORMAL,
+    UNKNOWN,
     FixedComponent,
     FixedLocusSummary,
     FixedPointLocal,
@@ -350,7 +352,7 @@ def _parse_glue(value, path):
 def _parse_expected(record, path, name):
     verdicts = {}
     for key, v in _expect(record, "verdicts", path, dict, required=False, default={}).items():
-        if v not in ("Normal", "NotNormal", "Unknown"):
+        if v not in (NORMAL, NOT_NORMAL, UNKNOWN):
             raise SchemaError(f"{path}.verdicts.{key}", f"bad verdict {v!r}")
         verdicts[_int_key(key, f"{path}.verdicts.{key}")] = v
     alpha = {}
@@ -507,14 +509,7 @@ def _route_descent(s: Scenario, k: int, reports: dict[int, NormalityReport]) -> 
             f"cokernel of Sym^2 H^{k} -> H^{2 * k} has torsion only at {torsion}; "
             f"p = {s.prime} is {'coprime' if coprime else 'not coprime'} to it"
         )
-    return NormalityReport(
-        degree=report.degree,
-        verdict=report.verdict,
-        criterion_used=report.criterion_used,
-        hypotheses=report.hypotheses,
-        alpha_bounds=report.alpha_bounds,
-        notes=(*report.notes, note),
-    )
+    return replace(report, notes=(*report.notes, note))
 
 
 def _route_s_lattice(s: Scenario, k: int, reports: dict[int, NormalityReport]) -> NormalityReport:
@@ -535,7 +530,7 @@ def _route_s_lattice(s: Scenario, k: int, reports: dict[int, NormalityReport]) -
         ("rest_of_invariant_pushforward_divisible_by_p", s.glue is not None),
         ("no_nonzero_solution_of_the_norm_pairing_system", ok),
     )
-    verdict = NORMAL if all(okk for _, okk in hyps) else "Unknown"
+    verdict = NORMAL if all(okk for _, okk in hyps) else UNKNOWN
     return NormalityReport(
         degree=2,
         verdict=verdict,

@@ -38,14 +38,26 @@ def test_snf_command(tmp_path, capsys):
     assert "elementary divisors [2, 4]" in out
 
 
+JORDAN_CASES = [
+    ([[0, -1], [1, -1]], 3, ["p = 3, rank 2", "l_1 = 0  l_2 = 1  l_3 = 0", "invariant rank = 0"]),
+    # -1 eigenvectors are not invariant: the sign module plays the role of l_(p-1)
+    ([[-1, 0], [0, -1]], 2, ["l_1 = 2  l_2 = 0", "plus rank = 0  minus rank = 2", "invariant rank = 0"]),
+    (
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        2,
+        ["l_1 = 2  l_2 = 1", "plus rank = 1  minus rank = 1", "invariant rank = 2"],
+    ),
+]
+
+
 def test_jordan_command(tmp_path, capsys):
     f = tmp_path / "phi.json"
-    f.write_text(json.dumps([[0, -1], [1, -1]]))
-    code, out, _ = run(capsys, ["jordan", "--matrix", str(f), "--prime", "3"])
-    assert code == 0
-    assert "p = 3, rank 2" in out
-    assert "l_1 = 0  l_2 = 1  l_3 = 0" in out
-    assert "invariant rank = 0" in out
+    for phi, prime, expected in JORDAN_CASES:
+        f.write_text(json.dumps(phi))
+        code, out, _ = run(capsys, ["jordan", "--matrix", str(f), "--prime", str(prime)])
+        assert code == 0
+        for line in expected:
+            assert f"{line}\n" in out, (phi, line)
 
 
 def test_normality_default_route(capsys):

@@ -87,6 +87,12 @@ def test_jordan_profile_p2_eigensplit():
     jp = jordan_profile(refl)
     assert jp.blocks == (0, 2, 0)
     assert (jp.plus_rank, jp.minus_rank) == (1, 1)
+    # the + eigenlattice plays the role of l_1 and the - one that of l_(p-1),
+    # so -1 eigenvectors do not count as invariant
+    assert (jp.l1, jp.l_pm1, jp.invariant_rank) == (1, 1, 1)
+    jp = jordan_profile(PrimeOrderAction(p=2, phi=((-1, 0), (0, -1))))
+    assert (jp.l1, jp.l_pm1, jp.invariant_rank) == (0, 2, 0)
+    assert JordanProfile(2, (0, 2, 1), plus_rank=1, minus_rank=1).invariant_rank == 2
 
 
 def test_jordan_profile_invariant_under_conjugation():

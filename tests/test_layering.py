@@ -11,6 +11,9 @@ well: no module compiles code at run time or imports `dataclasses`, and
 Every top-level definition has a use: another top-level statement of the
 package names it, the package `__init__` re-exports it, or the benchmark
 tracer (`perfbench/tracer.py`, read here with ast) wraps it by name.
+
+The verdict names are spelled once, as `normality.NORMAL`, `NOT_NORMAL`
+and `UNKNOWN`; every other module compares with those constants.
 """
 
 import ast
@@ -120,3 +123,13 @@ def test_every_top_level_definition_has_a_use():
         and not any(node.name in used[id(other)] for other in statements if other is not node)
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "normality"], ids=lambda p: p.stem)
+def test_verdict_names_are_spelled_only_in_normality(path):
+    spelled = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in ("Normal", "NotNormal", "Unknown")
+    ]
+    assert spelled == []

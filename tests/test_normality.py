@@ -17,6 +17,7 @@ from quotlat import (
     propagate_power,
     weight_solve,
 )
+from quotlat._record import replace
 from quotlat.gmodule import trivial_profile
 from quotlat.normality import (
     FixedCountMismatch,
@@ -166,11 +167,6 @@ def test_simple_criteria_strings(by_name):
 
 
 # ---------------------------------------------------------------- pinned chain reports
-
-
-def replace(obj, **changes):
-    """A copy of the record obj with the named fields changed."""
-    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
 
 
 def _recount(fix, delta):
@@ -410,6 +406,94 @@ def test_propagate_power_descends_normality():
     assert propagate_power(unk, True, True).verdict == UNKNOWN
     with pytest.raises(ValueError):
         propagate_power(top, True, True, t=3)
+
+
+def _surface(p, deg2, points):
+    """A surface profile with degree-2 profile deg2 and `points` isolated fixed points."""
+    cp = CohomologyProfile.from_degrees(p, 2, {2: deg2})
+    return cp, FixedLocusSummary(isolated=(isolated_points(p, (1, p - 1), points),) if points else ())
+
+
+SURFACE_CASES = {
+    # l_2^2 = 1 with the #Fix it forces: no chain line, no note, Etsi bounds
+    "l_pm1_present": (
+        _surface(3, JordanProfile(3, (0, 2, 1, 6)), 5),
+        [
+            "H^2: Unknown  (simply connected surface count; alpha in [0, 1])",
+            "  [x] simply_connected",
+            "  [x] fix_finite",
+            "  [x] fix_nonempty",
+            "  [ ] l_(p-1)^2_vanishes",
+        ],
+    ),
+    "empty_fix": (
+        _surface(3, JordanProfile(3, (0, 4, 0, 6)), 0),
+        [
+            "H^2: Unknown  (simply connected surface count; alpha in [0, 2])",
+            "  [x] simply_connected",
+            "  [x] fix_finite",
+            "  [ ] fix_nonempty",
+            "  [x] l_(p-1)^2_vanishes",
+        ],
+    ),
+    # p = 2: #Fix = 2 + l_(1,+)^2 + l_(1,-)^2, and the minus part blocks normality
+    "p2_minus_present": (
+        _surface(2, JordanProfile(2, (0, 6, 8), plus_rank=2, minus_rank=4), 8),
+        [
+            "H^2: Unknown  (simply connected surface count; alpha in [0, 1])",
+            "  [x] simply_connected",
+            "  [x] fix_finite",
+            "  [x] fix_nonempty",
+            "  [ ] l_(1,-)^2_vanishes",
+        ],
+    ),
+    "normal": (
+        _surface(3, JordanProfile(3, (0, 4, 0, 6)), 6),
+        [
+            "H^2: Normal  (simply connected surface count; alpha in [0, 0])",
+            "  chain 6 >= 6 >= 2; parity holds",
+            "  [x] simply_connected",
+            "  [x] fix_finite",
+            "  [x] fix_nonempty",
+            "  [x] l_(p-1)^2_vanishes",
+            "  note: every surface fixed point has weight 1",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SURFACE_CASES)
+def test_surface_report_text_is_pinned(case):
+    (cp, fix), expected = SURFACE_CASES[case]
+    assert check_surface(cp, fix).lines() == expected
+
+
+@pytest.mark.parametrize(
+    "sym_injective, expected",
+    [
+        (
+            False,
+            [
+                "H^2: Unknown  (descent from H^4 through Sym^2; alpha in [0, ?])",
+                "  [x] H^4_normal",
+                "  [ ] sym_power_injective_mod_p",
+                "  [x] image_invariantly_complemented",
+            ],
+        ),
+        (
+            True,
+            [
+                "H^2: Normal  (descent from H^4 through Sym^2; alpha in [0, 0])",
+                "  [x] H^4_normal",
+                "  [x] sym_power_injective_mod_p",
+                "  [x] image_invariantly_complemented",
+            ],
+        ),
+    ],
+)
+def test_descent_report_text_is_pinned(sym_injective, expected):
+    top = NormalityReport(degree=4, verdict=NORMAL, criterion_used="weight chain", alpha_bounds=(0, 0))
+    assert propagate_power(top, sym_injective, complement_stable=True).lines() == expected
 
 
 def test_report_shape_rules():

@@ -26,8 +26,9 @@ from quotlat import (
     sublattice,
     weight_solve,
 )
-from quotlat._record import factory, record
+from quotlat._record import factory, record, replace
 from quotlat.lattice_core import LatticeError
+from quotlat.normality import NORMAL, NormalityReport
 from quotlat.quotient_lattice import MatchResult
 from quotlat.scenario import Expected, RowCheck, Scenario
 from quotlat.toric_weight import WeightValue, weight_dim2
@@ -180,6 +181,32 @@ def test_reading_a_cached_weight_keeps_equality_and_hash():
     pts.weight
     assert "weight" in vars(pts) and "weight" not in vars(same)
     assert pts == same and hash(pts) == before == hash(same)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
+def test_replace_without_changes_copies(cls, samples):
+    a, b = samples[cls]
+    assert replace(a) == a and replace(a) is not a
+    assert replace(a, **fields_of(b, cls._fields)) == b
+
+
+def test_replace_changes_one_field():
+    rep = NormalityReport(2, NORMAL, "x", alpha_bounds=(0, 0))
+    moved = replace(rep, degree=4)
+    assert (moved.degree, rep.degree) == (4, 2)
+    assert fields_of(moved, rep._fields[1:]) == fields_of(rep, rep._fields[1:])
+
+
+def test_replace_runs_post_init_again():
+    rep = NormalityReport(2, NORMAL, "x", alpha_bounds=(0, 0))
+    with pytest.raises(ValueError, match="alpha = 0"):
+        replace(rep, alpha_bounds=(0, None))
+
+
+def test_replace_rejects_an_unknown_field():
+    rep = NormalityReport(2, NORMAL, "x", alpha_bounds=(0, 0))
+    with pytest.raises(TypeError, match="not_a_field"):
+        replace(rep, not_a_field=1)
 
 
 def _traced_bytes(make, n=2000):
