@@ -1,11 +1,17 @@
 """Exact integer and rational linear algebra helpers.
 
-Everything here operates on plain ``list[list[int]]`` (or ``Fraction``)
-matrices and never touches floating point.  Elimination over Q has one
-fraction-free core, ``echelon_fraction_free``; ``det_bareiss``,
-``rank_rational``, ``solve_in_rowspan`` and ``integer_coordinates`` wrap
-it, and ``integer_coordinates`` is the one route to an integral solve (an
-integral inverse is the coordinates of I).
+Everything here operates on plain ``list[list[int]]`` matrices (the
+elimination over Q also takes ``Fraction`` entries) and never touches
+floating point.  Matrix products have one kernel, ``mat_mul``: Kronecker
+substitution packs each row of the right factor into one int, so a row of
+the product is one sum of big-integer multiples that skips zero entries,
+and sparse and dense operands take the same route.  ``mat_pow``,
+``charpoly`` and the F_p image chain of ``image_ranks_mod_p`` multiply
+through it.
+Elimination over Q has one fraction-free core, ``echelon_fraction_free``;
+``det_bareiss``, ``rank_rational``, ``solve_in_rowspan`` and
+``integer_coordinates`` wrap it, and ``integer_coordinates`` is the one
+route to an integral solve (an integral inverse is the coordinates of I).
 Elimination over F_p has one core, ``echelon_mod_p``, behind
 ``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``.  The
 Smith normal form keeps the transforms U, V and V^-1, from which
@@ -16,7 +22,10 @@ polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from itertools import chain, compress
 from math import lcm
 from operator import mul
 
@@ -24,6 +33,8 @@ from ._record import record
 
 
 Matrix = list[list[int]]
+
+_BIG_ENDIAN = sys.byteorder == "big"  # array('q') reads native-endian bytes
 
 
 def identity(n: int) -> Matrix:
@@ -42,9 +53,78 @@ def transpose(a) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
+def _max_abs(a) -> int:
+    return max(map(abs, chain.from_iterable(a)), default=0)
+
+
+def _slots(bound: int, n: int) -> tuple[int, int]:
+    """(size, mask) of n signed slots for integers of absolute value <= bound.
+
+    size is the slot width in bytes, at least 8 and with 2^(8 size - 1) >
+    bound; mask has the top bit of every slot set.
+    """
+    size = max(8, bound.bit_length() // 8 + 1)
+    return size, int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _pack(row, size: int, mask: int) -> int:
+    """sum_j row[j] * 256^(size j): one signed slot of size bytes per entry.
+
+    The bytes hold each entry in two's complement; flipping the top bit of
+    every slot (xor mask) adds 2^(8 size - 1) to each, and subtracting mask
+    removes that again without borrows between slots.
+    """
+    if size == 8:
+        raw = array("q", row)
+        if _BIG_ENDIAN:
+            raw.byteswap()
+    else:
+        raw = b"".join([x.to_bytes(size, "little", signed=True) for x in row])
+    return (int.from_bytes(raw, "little") ^ mask) - mask
+
+
+def _packed_product(a, packed, size: int, mask: int, n: int) -> Matrix:
+    """a * b for b given as its packed rows; every entry must fit a slot.
+
+    Row i of the product is the one int sum_k a[i][k] * packed[k], which
+    skips the zero entries of a.  Starting that sum from mask makes every
+    slot nonnegative (no borrows between slots) and xor mask puts each
+    back in two's complement, so the row is read off its bytes: through
+    ``array('q')`` for 8-byte slots, by ``int.from_bytes`` per slot for
+    wider ones.  Rows are read one at a time, because joining a whole
+    product into one byte string raised the peak RSS.
+    """
+    width = size * n
+    out = []
+    for row in a:
+        t = sum(map(mul, compress(row, row), compress(packed, row)), mask) ^ mask
+        raw = t.to_bytes(width, "little")
+        if size == 8:
+            entries = array("q", raw)
+            if _BIG_ENDIAN:
+                entries.byteswap()
+            out.append(entries.tolist())
+        else:
+            slots = range(0, width, size)
+            out.append([int.from_bytes(raw[i:i + size], "little", signed=True) for i in slots])
+    return out
+
+
 def mat_mul(a, b) -> Matrix:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    """a * b for integer matrices by Kronecker substitution.
+
+    Every entry of the product is at most len(b) max|a| max|b| in absolute
+    value, which sets the slot width (``_slots``); each row of b becomes
+    one int (``_pack``) and each row of the product one sum of them
+    (``_packed_product``).  Exact: no modulus and no float.
+    """
+    n = len(b[0]) if b else 0
+    amax = _max_abs(a)
+    bound = len(b) * amax * (amax if b is a else _max_abs(b))
+    if not bound:  # a zero factor; b's entries need not fit any slot
+        return zeros(len(a), n)
+    size, mask = _slots(bound, n)
+    return _packed_product(a, [_pack(row, size, mask) for row in b], size, mask, n)
 
 
 def is_symmetric(a) -> bool:
@@ -54,54 +134,19 @@ def is_symmetric(a) -> bool:
     )
 
 
-def _nonzeros(row) -> list[tuple[int, int]]:
-    return [(j, x) for j, x in enumerate(row) if x]
-
-
-def _axpy(acc: list, c: int, row, nonzeros) -> list:
-    """acc + c * row; nonzeros lists the (index, value) pairs of row.
-
-    Updates acc in place when row is sparse, else returns a new list, so
-    callers must use the return value.
-    """
-    if 3 * len(nonzeros) < len(row):
-        for j, x in nonzeros:
-            acc[j] += c * x
-        return acc
-    return [a + c * x for a, x in zip(acc, row)]
-
-
-def _combine_rows(coeffs, rows, nonzeros) -> list:
-    """sum_k coeffs[k] * rows[k], skipping zero coefficients."""
-    acc = [0] * len(rows[0])
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = _axpy(acc, c, rows[k], nonzeros[k])
-    return acc
-
-
-def mat_mul_sparse(a, b) -> Matrix:
-    """a * b with each row of the product built as a combination of rows of b.
-
-    Zero entries of a and of b cost nothing, which pays off on sparse
-    operands; on dense small matrices ``mat_mul`` is faster.
-    """
-    b_nonzeros = [_nonzeros(row) for row in b]
-    return [_combine_rows(row, b, b_nonzeros) for row in a]
-
-
 def mat_pow(a, e: int) -> Matrix:
-    """a^e for e >= 1 by left-to-right binary powering with ``mat_mul_sparse``.
+    """a^e for e >= 1 by left-to-right binary powering with ``mat_mul``.
 
-    Takes floor(log2 e) squarings and popcount(e) - 1 multiplications by a.
+    Takes floor(log2 e) squarings and popcount(e) - 1 multiplications by a,
+    each one packed product that skips the zero entries of its left factor.
     """
     if e < 1:
         raise ValueError("exponent must be positive")
     result = [list(row) for row in a]
     for bit in bin(e)[3:]:
-        result = mat_mul_sparse(result, result)
+        result = mat_mul(result, result)
         if bit == "1":
-            result = mat_mul_sparse(result, a)
+            result = mat_mul(result, a)
     return result
 
 
@@ -112,8 +157,8 @@ def echelon_mod_p(a, p: int) -> list[list[int]]:
     so far, in the order they were found.  Each basis row has entries in
     [0, p), a leading 1 at its pivot column, and zeros at the pivot
     columns of the basis rows before it.  Zero coefficients are skipped
-    and sparse basis rows are applied entry by entry, so sparse input
-    costs little more than its nonzeros.
+    and basis rows are applied through their nonzero entries only, so
+    sparse input costs little more than its nonzeros.
     """
     basis: list[tuple[int, list[int], list[tuple[int, int]]]] = []
     width = len(a[0]) if a else 0
@@ -121,10 +166,12 @@ def echelon_mod_p(a, p: int) -> list[list[int]]:
         if len(basis) == width:
             break
         row = list(row)
-        for col, prow, nonzeros in basis:
+        for col, _, nonzeros in basis:
             c = row[col] % p
             if c:
-                row = _axpy(row, p - c, prow, nonzeros)
+                c = p - c
+                for j, x in nonzeros:
+                    row[j] += c * x
         row = [x % p for x in row]
         lead = next((j for j, x in enumerate(row) if x), None)
         if lead is None:
@@ -132,7 +179,7 @@ def echelon_mod_p(a, p: int) -> list[list[int]]:
         inv = pow(row[lead], -1, p)
         if inv != 1:
             row = [x * inv % p for x in row]
-        basis.append((lead, row, _nonzeros(row)))
+        basis.append((lead, row, [(j, x) for j, x in enumerate(row) if x]))
     return [prow for _, prow, _ in basis]
 
 
@@ -145,20 +192,24 @@ def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
     """[rank A^0, rank A^1, ..., rank A^steps] over F_p for a square matrix A.
 
     No power of A is formed: rowspace(A^j) = rowspace(A^(j-1)) * A, so each
-    step multiplies the echelon basis of the previous image by A (skipping
-    its zero coefficients) and echelonises the products.  Once the rank
-    reaches 0 the remaining entries are 0.
+    step multiplies the echelon basis of the previous image by A mod p
+    and echelonises the products.  The products are ``mat_mul``'s packed
+    product with A mod p packed once: the basis and A mod p both have
+    entries in [0, p), so n (p - 1)^2 bounds every product entry.  Once
+    the rank reaches 0 the remaining entries are 0.
     """
+    n = len(a)
     m = [[x % p for x in row] for row in a]
-    m_nonzeros = [_nonzeros(row) for row in m]
-    ranks = [len(m)]
+    size, mask = _slots(n * (p - 1) ** 2, n)
+    packed = [_pack(row, size, mask) for row in m]
+    ranks = [n]
     products = m
     while len(ranks) <= steps:
         image = echelon_mod_p(products, p)
         ranks.append(len(image))
         if not image:
             break
-        products = [_combine_rows(row, m, m_nonzeros) for row in image]
+        products = _packed_product(image, packed, size, mask, n)
     return ranks + [0] * (steps + 1 - len(ranks))
 
 
@@ -451,8 +502,11 @@ def charpoly(a) -> list[int]:
 
     Faddeev-LeVerrier over the integers: M_1 = I, c_k = -tr(A M_k) / k and
     M_(k+1) = A M_k + c_k I.  For an integer matrix every c_k is an
-    integer, so each division is exact; a remainder raises ArithmeticError.
+    integer, so each division is exact; a remainder raises ArithmeticError,
+    and so does an entry that is not an integer.
     """
+    if not all(isinstance(x, int) for x in chain.from_iterable(a)):
+        raise ArithmeticError("charpoly needs an integer matrix")
     n = len(a)
     coeffs = [1]
     m = identity(n)

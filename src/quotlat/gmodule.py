@@ -128,10 +128,10 @@ class PrimeOrderAction:
 
     Construction checks phi^p = I exactly over Z.  The power is taken by
     repeated squaring (floor(log2 p) squarings and popcount(p) - 1 further
-    products), each product built from row combinations that skip zero
-    entries, so sparse actions such as symmetric squares of block-diagonal
-    ones are cheap to check.  A given Gram matrix G must satisfy
-    phi^T G phi = G.
+    products), each one packed-integer product (``_linalg.mat_mul``): a row
+    of the product is one sum of packed rows that skips zero entries, so
+    sparse and dense actions share one route.  A given Gram matrix G must
+    satisfy phi^T G phi = G.
     """
 
     p: int

@@ -80,7 +80,47 @@ def test_mat_pow_matches_repeated_products(seed, e):
     assert la.mat_pow(a, e) == want
     m = rng.randint(1, 6)
     b = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
-    assert la.mat_mul_sparse(a, b) == la.mat_mul(a, b)
+    assert la.mat_mul(a, b) == oracles._dense_mul(a, b)
+
+
+# entry bit lengths: small, both sides of the 8-byte slot limit (products
+# of 30- to 33-bit entries over up to 7 terms land between 2^60 and 2^69),
+# and above 200
+ENTRY_BITS = (1, 4, 30, 31, 32, 33, 62, 63, 64, 100, 230)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(ENTRY_BITS), st.sampled_from(ENTRY_BITS))
+@settings(max_examples=120, deadline=None)
+def test_mat_mul_matches_dense_products(seed, a_bits, b_bits):
+    rng = Random(seed)
+    rows, inner, cols = rng.randint(1, 7), rng.randint(1, 7), rng.choice((1, rng.randint(1, 7)))
+    fill = rng.choice((0.1, 0.5, 1.0))
+
+    def entry(bits):
+        if rng.random() > fill:
+            return 0
+        x = rng.choice((1 << bits, (1 << bits) - 1, rng.randint(0, 1 << bits)))
+        return -x if rng.random() < 0.5 else x
+
+    a = [[entry(a_bits) for _ in range(inner)] for _ in range(rows)]
+    b = [[entry(b_bits) for _ in range(cols)] for _ in range(inner)]
+    assert la.mat_mul(a, b) == oracles._dense_mul(a, b)
+
+
+def test_mat_mul_edge_cases():
+    assert la.mat_mul([], [[1, 2]]) == []  # no rows
+    assert la.mat_mul([[], []], []) == [[], []]  # no inner dimension
+    assert la.mat_mul([[1], [2]], [[]]) == [[], []]  # no columns
+    assert la.mat_mul([[2, -3]], [[5], [7]]) == [[-11]]  # one column
+    # a zero factor: the bound is 0 and b's entries fit no 8-byte slot
+    huge = [[1 << 64, -(1 << 70)], [3, (1 << 64) + 1]]
+    assert la.mat_mul([[0, 0]], huge) == [[0, 0]]
+    assert la.mat_mul(huge, [[0], [0]]) == [[0], [0]]
+    # largest magnitude on each side of the 8-byte limit, with either sign
+    for x in ((1 << 31) - 1, 1 << 31, (1 << 31) + 1, (1 << 32) - 1, 1 << 32):
+        for a in ([[x, x]], [[-x, x]], [[-x, -x]]):
+            b = [[x, -x], [x, x]]
+            assert la.mat_mul(a, b) == oracles._dense_mul(a, b)
 
 
 # ------------------------------------------- wrappers of the fraction-free core

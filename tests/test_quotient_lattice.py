@@ -107,7 +107,8 @@ def test_find_glue_survives_base_changes():
         moved_glue = find_glue(moved, 3)
         got = bb_quotient(moved, 3, moved_glue)
         assert got.fujiki_constant == 9
-        w = la.mat_mul(la.mat_mul([list(r) for r in moved_glue.transform], u), t_inv)
+        # t_inv is rational and mat_mul takes integers only
+        w = oracles._dense_mul(la.mat_mul([list(r) for r in moved_glue.transform], u), t_inv)
         assert all(x.denominator == 1 for row in w for x in row)
         w = [[int(x) for x in row] for row in w]
         assert abs(oracles.det(w)) == 1
