@@ -13,8 +13,10 @@ Elimination over Q has one fraction-free core, ``echelon_fraction_free``;
 ``integer_coordinates`` wrap it, and ``integer_coordinates`` is the one
 route to an integral solve (an integral inverse is the coordinates of I).
 Elimination over F_p has one core, ``echelon_mod_p``, behind
-``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``.  The
-Smith normal form keeps the transforms U, V and V^-1, from which
+``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``;
+``rank_mod_p`` at 3 gives the +-1 eigenlattice ranks of an involution,
+which equal its ranks over Q (the proof is in ``gmodule.jordan_profile``).
+The Smith normal form keeps the transforms U, V and V^-1, from which
 kernels and row-span bases are read off in unimodular coordinates.  The
 inertia of a symmetric matrix is read off its integer characteristic
 polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.

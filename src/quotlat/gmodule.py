@@ -187,13 +187,24 @@ def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
     The ranks r_j come from the image chain of tau = phi - 1 mod p
     (``image_ranks_mod_p``): each image is the previous echelon basis
     times tau, echelonised again, so no power of tau is formed over Z.
-    For p = 2 the eigenlattice split needs the ranks of phi -+ 1 over Q,
-    taken by fraction-free elimination (``rank_rational``).  The identities
-    r_p = 0, l_q >= 0, sum q l_q = n and the split summing to l_1 are
-    checked and raise GModuleError when they fail.
+
+    For p = 2 the eigenlattice split needs the ranks of phi -+ 1 over Q.
+    They are taken over F_3 (``rank_mod_p``), which gives the same ranks:
+
+    - x - 1 and Phi_2(x) = x + 1 are coprime over Q, and over F_3 too,
+      because Phi_2(1) = 2 is not 0 mod 3;
+    - phi^2 = I holds over Z (checked on construction), so over either
+      field rank(phi - 1) + rank(phi + 1) = n;
+    - the rank mod 3 of an integer matrix is at most its rank over Q, so
+      both ranks are equal over F_3 and over Q.
+
+    The identities r_p = 0, l_q >= 0, sum q l_q = n and the split summing
+    to l_1 are checked and raise GModuleError when they fail; the last one
+    certifies rank_3(phi - 1) + rank_3(phi + 1) = n.
     """
     p, n = action.p, action.rank
-    ranks = la.image_ranks_mod_p(action.tau(), p, p + 1)
+    tau = action.tau()
+    ranks = la.image_ranks_mod_p(tau, p, p + 1)
     if ranks[p] != 0:
         raise GModuleError("tau^p must vanish mod p")
     blocks = [0] * (p + 1)
@@ -205,11 +216,11 @@ def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
         raise GModuleError(f"Jordan blocks {blocks} do not add up to rank {n}")
     plus = minus = None
     if p == 2:
-        phi = action.phi_rows()
-        ker_plus = n - la.rank_rational(action.tau())
-        ker_minus = n - la.rank_rational(
-            [[phi[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
+        phi_plus = action.phi_rows()
+        for i, row in enumerate(phi_plus):
+            row[i] += 1
+        ker_plus = n - la.rank_mod_p(tau, 3)
+        ker_minus = n - la.rank_mod_p(phi_plus, 3)
         plus = ker_plus - blocks[2]
         minus = ker_minus - blocks[2]
         if plus < 0 or minus < 0 or plus + minus != blocks[1]:
@@ -412,7 +423,7 @@ def sym2_action(action: PrimeOrderAction) -> PrimeOrderAction:
             for b, y in cols[j]:
                 key = (a, b) if a <= b else (b, a)
                 out[index[key]][col] += x * y
-    return PrimeOrderAction(p=action.p, phi=_freeze(out))
+    return PrimeOrderAction(p=action.p, phi=out)
 
 
 def sym2_profile(profile: JordanProfile) -> JordanProfile:

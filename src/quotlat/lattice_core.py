@@ -53,7 +53,7 @@ class ParseError(LatticeError):
 
 
 def _freeze(mat) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in mat)
+    return tuple(tuple(map(int, row)) for row in mat)
 
 
 @record
@@ -61,13 +61,6 @@ class DiscriminantGroup:
     """Finite abelian group L^vee / L given by its invariant factors (> 1)."""
 
     elementary_divisors: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.elementary_divisors:
-            n *= d
-        return n
 
     def is_p_elementary(self, p: int) -> bool:
         return all(d == p for d in self.elementary_divisors)

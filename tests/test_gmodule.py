@@ -95,6 +95,42 @@ def test_jordan_profile_p2_eigensplit():
     assert JordanProfile(2, (0, 2, 1), plus_rank=1, minus_rank=1).invariant_rank == 2
 
 
+@st.composite
+def involution_counts(draw, max_rank=16):
+    """(trivial, cyclotomic, glued) counts of a p = 2 Reiner action of rank 1..max_rank."""
+    g = draw(st.integers(0, max_rank // 2))
+    c = draw(st.integers(0, max_rank - 2 * g))
+    t = draw(st.integers(0 if g or c else 1, max_rank - 2 * g - c))
+    return (t, c, g)
+
+
+@given(involution_counts(), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_p2_eigensplit_over_f3_matches_ranks_over_q(counts, seed, conjugated):
+    """The + and - eigenlattice ranks taken over F_3 equal those over Q."""
+    act = reiner_action(2, counts)
+    if conjugated:
+        act = conjugate(act, oracles.random_unimodular(Random(seed), act.rank))
+    n, jp = act.rank, jordan_profile(act)
+    minus_one = act.tau()
+    plus_one = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(act.phi_rows())]
+    assert jp.plus_rank == n - oracles.rank_rational(minus_one) - jp.blocks[2]
+    assert jp.minus_rank == n - oracles.rank_rational(plus_one) - jp.blocks[2]
+    assert la.rank_mod_p(minus_one, 3) + la.rank_mod_p(plus_one, 3) == n
+    assert (jp.plus_rank, jp.minus_rank, jp.blocks[2]) == counts
+
+
+def test_p2_jordan_profile_takes_no_rank_over_q(monkeypatch):
+    """The p = 2 split of a Sym^2 action is read from F_3 ranks alone."""
+
+    def refuse(rows):
+        raise AssertionError("jordan_profile reached rank_rational")
+
+    monkeypatch.setattr(la, "rank_rational", refuse)
+    base = reiner_action(2, (2, 2, 2))
+    assert jordan_profile(sym2_action(base)) == sym2_profile(jordan_profile(base))
+
+
 def test_jordan_profile_invariant_under_conjugation():
     rng = Random(4242)
     for p in (3, 5, 7):
@@ -230,7 +266,7 @@ def test_jordan_profile_raises_on_broken_ranks(monkeypatch, ranks, message):
 
 
 def test_jordan_profile_raises_on_broken_eigensplit(monkeypatch):
-    monkeypatch.setattr(la, "rank_rational", lambda rows: 0)
+    monkeypatch.setattr(la, "rank_mod_p", lambda rows, p: 0)
     with pytest.raises(GModuleError, match="eigenlattice"):
         jordan_profile(PrimeOrderAction(p=2, phi=((0, 1), (1, 0))))
 
@@ -259,6 +295,24 @@ def test_sym2_action_matches_direct_expansion():
         act = conjugate(act, oracles.random_unimodular(rng, act.rank, steps=6))
         phi = act.phi_rows()
         assert sym2_action(act).phi_rows() == oracles.sym2_matrix(phi, len(phi))
+
+
+def test_sym2_action_freezes_phi_once_to_plain_ints(monkeypatch):
+    act = conjugate(reiner_action(3, (1, 1, 1)), oracles.random_unimodular(Random(5), 6))
+    freezes = []
+    monkeypatch.setattr(
+        gmodule, "_freeze", lambda mat, f=gmodule._freeze: freezes.append(1) or f(mat)
+    )
+    square = sym2_action(act)
+    assert len(freezes) == 1
+    assert type(square.phi) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in square.phi)
+    frozen = tuple(map(tuple, oracles.sym2_matrix(act.phi_rows(), act.rank)))
+    again = PrimeOrderAction(3, frozen)
+    assert again == square and hash(again) == hash(square)
+    flags = PrimeOrderAction(2, [[0, True], [1, 0]])
+    assert flags.phi == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in flags.phi for x in row)
 
 
 @pytest.mark.parametrize(
