@@ -16,8 +16,9 @@ Elimination over F_p has one core, ``echelon_mod_p``, behind
 ``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``;
 ``rank_mod_p`` at 3 gives the +-1 eigenlattice ranks of an involution,
 which equal its ranks over Q (the proof is in ``gmodule.jordan_profile``).
-The Smith normal form keeps the transforms U, V and V^-1, from which
-kernels and row-span bases are read off in unimodular coordinates.  The
+The Smith normal form keeps the transforms U and V: kernels are read off
+the columns of V, and row-span bases off U*A = D*V^-1, so V^-1 is never
+formed.  The
 inertia of a symmetric matrix is read off its integer characteristic
 polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 """
@@ -39,16 +40,15 @@ Matrix = list[list[int]]
 _BIG_ENDIAN = sys.byteorder == "big"  # array('q') reads native-endian bytes
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def zeros(m: int, n: int) -> Matrix:
     return [[0] * n for _ in range(m)]
 
 
-def mat_copy(a) -> Matrix:
-    return [list(row) for row in a]
+def identity(n: int) -> Matrix:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def transpose(a) -> Matrix:
@@ -363,7 +363,6 @@ class SNFResult:
     u: Matrix
     d: Matrix
     v: Matrix
-    vinv: Matrix
 
     @property
     def diagonal(self) -> list[int]:
@@ -373,95 +372,92 @@ class SNFResult:
 def smith_normal_form(a) -> SNFResult:
     """Smith normal form with unimodular transforms: U*A*V = D.
 
-    Pivot rule: smallest nonzero absolute value in the working submatrix,
-    ties broken by row-major position.  Diagonal entries are nonnegative and
-    form a divisibility chain.
+    Diagonal entries are nonnegative and form a divisibility chain.  Step t
+    moves the smallest nonzero |entry| of d[t:, t:] (ties broken by
+    row-major position) to (t, t) and makes it positive.  Row operations
+    then clear column t below it and column operations clear row t, with
+    nearest-integer quotients q = floor((2x + piv) / (2 piv)), so every
+    remainder has |r| <= piv / 2.  A nonzero remainder repeats the step
+    with a pivot at most half as large; once row and column are clear, the
+    first row with an entry that piv does not divide is added to row t and
+    the step repeats.  The quotients of one sweep come from column (row) t
+    alone, which that sweep leaves unchanged, so each row of d and U is
+    rewritten at most once per sweep, d only from column t on.  V is kept
+    transposed, so its column operations are row operations too.  V^-1 is
+    not formed: U*A = D*V^-1 gives its rows where D is nonzero.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = mat_copy(a)
+    d = [list(row) for row in a]
     u = identity(m)
-    v, vinv = identity(n), identity(n)
-
-    def row_swap(i, k):
-        d[i], d[k] = d[k], d[i]
-        u[i], u[k] = u[k], u[i]
-
-    def row_add(i, k, c):
-        # row_i += c * row_k
-        d[i] = [x + c * y for x, y in zip(d[i], d[k])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_swap(j, k):
-        for r in range(m):
-            d[r][j], d[r][k] = d[r][k], d[r][j]
-        for r in range(n):
-            v[r][j], v[r][k] = v[r][k], v[r][j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
-
-    def col_add(j, k, c):
-        # col_j += c * col_k
-        for r in range(m):
-            d[r][j] += c * d[r][k]
-        for r in range(n):
-            v[r][j] += c * v[r][k]
-        vinv[k] = [x - c * y for x, y in zip(vinv[k], vinv[j])]
-
+    vt = identity(n)
     for t in range(min(m, n)):
-        while True:
-            # pivot: smallest |nonzero| in d[t:, t:], row-major tie-break
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = d[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            bi, bj = best
-            if bi != t:
-                row_swap(t, bi)
-            if bj != t:
-                col_swap(t, bj)
+        if t == m - 1 == n - 1:  # a 1 x 1 block only needs its sign
             if d[t][t] < 0:
-                row_neg(t)
-            piv = d[t][t]
+                d[t] = [-x for x in d[t]]
+                u[t] = [-x for x in u[t]]
+            break
+        while True:
+            # |d[t:, t:]| row-major; at t = 0 slicing would only copy
+            if t:
+                flat = [abs(x) for row in d[t:] for x in row[t:]]
+            else:
+                flat = [abs(x) for row in d for x in row]
+            least = min(filter(None, flat), default=0) if 0 in flat else min(flat)
+            if not least:
+                break
+            bi, bj = divmod(flat.index(least), n - t)
+            bi += t
+            bj += t
+            if bi != t:
+                d[t], d[bi] = d[bi], d[t]
+                u[t], u[bi] = u[bi], u[t]
+            if bj != t:
+                for row in d[t:]:
+                    row[t], row[bj] = row[bj], row[t]
+                vt[t], vt[bj] = vt[bj], vt[t]
+            top = d[t]
+            if top[t] < 0:
+                d[t] = top = [-x for x in top]
+                u[t] = [-x for x in u[t]]
+            piv = top[t]
+            tail, urow, twice = top[t:], u[t], 2 * piv
             dirty = False
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // piv
+                row = d[i]
+                x = row[t]
+                if x:
+                    q = (2 * x + piv) // twice
                     if q:
-                        row_add(i, t, -q)
-                    if d[i][t]:
+                        row[t:] = [y - q * z for y, z in zip(row[t:], tail)]
+                        u[i] = [y - q * z for y, z in zip(u[i], urow)]
+                        if row[t]:
+                            dirty = True
+                    else:
                         dirty = True
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // piv
+            qs = [(2 * x + piv) // twice for x in top[t + 1:]]
+            if any(qs):
+                for row in d[t:]:
+                    c = row[t]
+                    if c:
+                        row[t + 1:] = [y - c * q for y, q in zip(row[t + 1:], qs)]
+                vrow = vt[t]
+                for j, q in enumerate(qs, t + 1):
                     if q:
-                        col_add(j, t, -q)
-                    if d[t][j]:
-                        dirty = True
-            if dirty:
+                        vt[j] = [y - q * z for y, z in zip(vt[j], vrow)]
+            if dirty or any(top[t + 1:]):
                 continue
-            # pivot must divide the remaining submatrix
-            fix = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % piv:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
+            if piv == 1:
                 break
-            row_add(t, fix, 1)
-        if t < min(m, n) and d[t][t] < 0:
-            row_neg(t)
-    return SNFResult(u=u, d=d, v=v, vinv=vinv)
+            # piv must divide the rest: add the first row it does not divide
+            for fix in range(t + 1, m):
+                if any([x % piv for x in d[fix][t + 1:]]):
+                    d[t] = [x + y for x, y in zip(top, d[fix])]
+                    u[t] = [x + y for x, y in zip(u[t], u[fix])]
+                    break
+            else:
+                break
+    return SNFResult(u=u, d=d, v=transpose(vt))
 
 
 def elementary_divisors(a) -> list[int]:
@@ -490,13 +486,13 @@ def image_basis(a) -> Matrix:
 
 
 def row_span_basis(a) -> Matrix:
-    """Z-basis (as rows) of the subgroup of Z^n generated by the rows of A."""
+    """Z-basis (as rows) of the subgroup of Z^n generated by the rows of A.
+
+    U*A*V = D gives U*A = D*V^-1: row i of U*A is d_i times row i of the
+    unimodular V^-1, so its rows with d_i != 0 are a basis of the row span.
+    """
     res = smith_normal_form(a)
-    rows = []
-    for i, di in enumerate(res.diagonal):
-        if di:
-            rows.append([di * x for x in res.vinv[i]])
-    return rows
+    return [row for row, di in zip(mat_mul(res.u, a), res.diagonal) if di]
 
 
 def charpoly(a) -> list[int]:

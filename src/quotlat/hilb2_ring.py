@@ -24,8 +24,7 @@ by 4; ``induced_h4`` maps it through an isometry and halves.
 Actions follow ``PrimeOrderAction``: a matrix psi acts on column vectors,
 its columns are the images of the basis vectors, and an isometry of a
 Gram G satisfies psi^T G psi = G.  ``_image_h2`` returns psi x,
-``induced_h4`` has the images of the H^4 basis as columns, and
-``apply_h4(M, a)`` returns M a.
+and ``induced_h4`` has the images of the H^4 basis as columns.
 """
 
 from __future__ import annotations
@@ -120,12 +119,6 @@ class HilbertSquare:
     def h2_rank(self) -> int:
         return self.n + 1
 
-    def bb_gram(self):
-        """Beauville-Bogomolov Gram matrix on (gamma_1..gamma_n, delta)."""
-        out = [row[:] + [0] for row in self.gram]
-        out.append([0] * self.n + [DELTA_SQUARE])
-        return out
-
     def bb(self, x: H2Class, y: H2Class) -> int:
         acc = x.delta * y.delta * DELTA_SQUARE
         for i, xi in enumerate(x.gamma):
@@ -145,23 +138,6 @@ class HilbertSquare:
     def sigma(self) -> H4Class:
         v = [0] * self.h4_rank
         v[0] = 1
-        return H4Class(tuple(v))
-
-    def q2(self, k: int) -> H4Class:
-        v = [0] * self.h4_rank
-        v[self._q2_at + k] = 1
-        return H4Class(tuple(v))
-
-    def q1q1(self, k: int, m: int) -> H4Class:
-        if k == m:
-            raise ValueError("q1q1 basis elements need k != m")
-        v = [0] * self.h4_rank
-        v[self._pair_index[(min(k, m), max(k, m))]] = 1
-        return H4Class(tuple(v))
-
-    def m11(self, k: int) -> H4Class:
-        v = [0] * self.h4_rank
-        v[self._m11_at + k] = 1
         return H4Class(tuple(v))
 
     def h4_basis_labels(self) -> list[str]:
@@ -311,10 +287,6 @@ class HilbertSquare:
                     img[r] += c * v
             cols.append([_exact_div(v, 2) for v in img])
         return la.transpose(cols)
-
-    def apply_h4(self, matrix, a: H4Class) -> H4Class:
-        """matrix . a, for a matrix whose columns are images."""
-        return H4Class(tuple(sum(map(mul, row, a.coords)) for row in matrix))
 
 
 def _exact_div(value: int, d: int) -> int:

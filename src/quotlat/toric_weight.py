@@ -262,9 +262,11 @@ def _weight_from_fan(fan: Fan2D, p: int, q: int) -> WeightDim2Result:
     if snf.diagonal != [1, 1]:
         raise ClassificationFailure("ray classes do not present a free group")
     # class of ray j is row j of V with the first two coordinates dropped,
-    # and row 2+i of V^{-1} lifts the i-th basis class back to Z^rays
+    # and row 2+i of V^{-1} lifts the i-th basis class back to Z^rays; the
+    # Smith form does not return V^{-1}, so it is read off as the integer
+    # coordinates of I over the rows of V
     cls = [snf.v[j][2:] for j in range(n)]
-    lift = snf.vinv[2:]
+    lift = la.integer_coordinates(snf.v, la.identity(n))[2:]
     gram = la.mat_mul(lift, la.mat_mul(pairing, la.transpose(lift)))
     if abs(la.det_bareiss(gram)) != 1:
         raise ClassificationFailure("H^2 of a smooth complete toric surface must be unimodular")

@@ -11,13 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from sympy import GF, Matrix, Rational
+from sympy import GF, ZZ, Matrix, Rational
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
 
 def det(rows) -> int:
-    return int(Matrix([list(r) for r in rows]).det())
+    """Determinant by sympy's elimination over ZZ (DomainMatrix), which stays
+    fast on the thousand-bit entries of Smith-form transforms."""
+    rows = [[ZZ(x) for x in r] for r in rows]
+    return int(DomainMatrix(rows, (len(rows), len(rows)), ZZ).det())
 
 
 def snf_divisors(rows) -> list[int]:

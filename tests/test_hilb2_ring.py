@@ -10,6 +10,7 @@ import oracles
 from quotlat import (
     SIGMA,
     H2Class,
+    H4Class,
     HilbertSquare,
     PrimeOrderAction,
     h2_primitivity_certificate,
@@ -20,6 +21,7 @@ from quotlat import (
     sym2_profile,
 )
 from quotlat._linalg import det_bareiss, transpose
+from quotlat.hilb2_ring import DELTA_SQUARE
 
 S_GRAM = (
     (12, -2, -1, 0, 0, 0, 0),
@@ -32,9 +34,35 @@ S_GRAM = (
 )
 
 
+def bb_gram(hilb):
+    """Beauville-Bogomolov Gram matrix on (gamma_1..gamma_n, delta)."""
+    return [list(row) + [0] for row in hilb.gram] + [[0] * hilb.n + [DELTA_SQUARE]]
+
+
+def h4_basis_class(hilb, index: int) -> H4Class:
+    return H4Class(tuple(int(i == index) for i in range(hilb.h4_rank)))
+
+
+def q2(hilb, k: int) -> H4Class:
+    return h4_basis_class(hilb, hilb._q2_at + k)
+
+
+def q1q1(hilb, k: int, m: int) -> H4Class:
+    return h4_basis_class(hilb, hilb._pair_index[(min(k, m), max(k, m))])
+
+
+def m11(hilb, k: int) -> H4Class:
+    return h4_basis_class(hilb, hilb._m11_at + k)
+
+
+def apply_h4(matrix, a: H4Class) -> H4Class:
+    """matrix . a, for a matrix whose columns are images."""
+    return H4Class(tuple(sum(x * y for x, y in zip(row, a.coords)) for row in matrix))
+
+
 def test_bb_lattice_shape(hilb):
     assert hilb.h2_rank() == 23
-    assert det_bareiss(hilb.bb_gram()) == 2
+    assert det_bareiss(bb_gram(hilb)) == 2
     assert hilb.bb(hilb.delta, hilb.delta) == -2
     assert hilb.bb(hilb.gamma(0), hilb.gamma(1)) == 1
     assert hilb.bb(hilb.gamma(0), hilb.gamma(0)) == 0
@@ -47,9 +75,9 @@ def test_h4_pairings_frozen(hilb):
     d2 = hilb.cup(hilb.delta, hilb.delta)
     assert hilb.pair_h4(d2, sig) == -1
     assert hilb.pair_h4(d2, d2) == 12
-    assert hilb.pair_h4(hilb.q2(0), hilb.q2(1)) == -2
-    assert hilb.pair_h4(hilb.q1q1(0, 1), hilb.q1q1(0, 1)) == 1
-    assert hilb.pair_h4(hilb.m11(0), hilb.m11(0)) == 0
+    assert hilb.pair_h4(q2(hilb, 0), q2(hilb, 1)) == -2
+    assert hilb.pair_h4(q1q1(hilb, 0, 1), q1q1(hilb, 0, 1)) == 1
+    assert hilb.pair_h4(m11(hilb, 0), m11(hilb, 0)) == 0
 
 
 def test_h4_basis_labels(hilb):
@@ -145,7 +173,7 @@ def test_induced_maps_commute_with_cup(hilb):
     h4map = hilb.induced_h4(psi)
     x = hilb.gamma(7) + 2 * hilb.delta
     y = hilb.gamma(15) - hilb.gamma(2)
-    moved = hilb.apply_h4(h4map, hilb.cup(x, y))
+    moved = apply_h4(h4map, hilb.cup(x, y))
     direct = hilb.cup(hilb._image_h2(psi, x), hilb._image_h2(psi, y))
     assert moved.coords == direct.coords
 
@@ -189,7 +217,7 @@ def test_induced_h4_commutes_with_cup_for_order5(order5):
     rng = Random(5)
     for _ in range(20):
         x, y = random_h2_class(rng), random_h2_class(rng)
-        moved = hs.apply_h4(h4map, hs.cup(x, y))
+        moved = apply_h4(h4map, hs.cup(x, y))
         assert moved == hs.cup(hs._image_h2(phi, x), hs._image_h2(phi, y))
 
 
@@ -198,7 +226,7 @@ def test_induced_h4_is_the_sym2_of_the_h2_action(order5):
     # phi^T G phi = G check unchanged
     act, hs = order5
     phi = [list(r) for r in act.phi]
-    h2 = PrimeOrderAction(5, hs.induced_h2(phi), gram=hs.bb_gram())
+    h2 = PrimeOrderAction(5, hs.induced_h2(phi), gram=bb_gram(hs))
     assert jordan_profile(h2).blocks == (0, 3, 0, 0, 0, 4)
     h4 = PrimeOrderAction(5, hs.induced_h4(phi), gram=hs.h4_gram())
     assert jordan_profile(h4).blocks == (0, 6, 0, 0, 0, 54)

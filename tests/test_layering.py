@@ -20,6 +20,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,23 +92,38 @@ def _names_used(node) -> set[str]:
 
 
 def _traced_names() -> set[tuple[str, str]]:
-    """(module, name) of each class or function that the tracer's LAYERS wraps."""
+    """(module, name) of each class, function and `Class.method` that the
+    tracer's LAYERS wraps."""
     tracer = Path(quotlat.__file__).parents[2] / "perfbench" / "tracer.py"
     for node in ast.parse(tracer.read_text()).body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
             layers = [ast.literal_eval(v) for v in node.value.values]
-            return {(module.rsplit(".", 1)[1], cls or attr) for module, cls, attr in layers}
+            names = set()
+            for module, cls, attr in layers:
+                module = module.rsplit(".", 1)[1]
+                names.add((module, cls or attr))
+                if cls:
+                    names.add((module, f"{cls}.{attr}"))
+            return names
     raise AssertionError("perfbench/tracer.py defines no LAYERS")
 
 
-def test_every_top_level_definition_has_a_use():
-    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
-    exported = {
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in MODULES}
+
+
+def _exported(trees) -> set[str]:
+    return {
         a.asname or a.name
         for node in trees["__init__"].body
         if isinstance(node, ast.ImportFrom)
         for a in node.names
     }
+
+
+def test_every_top_level_definition_has_a_use():
+    trees = _package_trees()
+    exported = _exported(trees)
     statements = [
         node for tree in trees.values() for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))
     ]
@@ -123,6 +139,65 @@ def test_every_top_level_definition_has_a_use():
         and not any(node.name in used[id(other)] for other in statements if other is not node)
     ]
     assert unused == []
+
+
+# Methods kept without a caller in the package: the Hilbert-square action
+# hooks that the derived catalog rows (ROADMAP item 2) will call, and the
+# l_1 total that a test reads as a formula independent of surface_fix_count.
+KEPT_METHODS = {
+    ("hilb2_ring", "HilbertSquare.induced_h2"),
+    ("hilb2_ring", "HilbertSquare.induced_h4"),
+    ("gmodule", "CohomologyProfile.l1_total"),
+}
+
+
+def _name_uses(node) -> Counter:
+    """Names, attributes and string constants anywhere under node, with counts."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) or (isinstance(n, ast.Constant) and isinstance(n.value, str))
+    )
+
+
+def test_every_method_and_property_has_a_use():
+    """A method or property is used when the package names it (as an
+    attribute, a name or a string) outside its own body.  Dunder methods,
+    names the package `__init__` exports, methods the tracer wraps and
+    KEPT_METHODS are exempt."""
+    trees = _package_trees()
+    exported = _exported(trees)
+    traced = _traced_names()
+    everywhere = sum((_name_uses(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported
+        and (module, f"{cls.name}.{node.name}") not in traced | KEPT_METHODS
+        and everywhere[node.name] <= _name_uses(node)[node.name]
+    ]
+    assert unused == []
+
+
+def test_method_guard_sees_an_unused_method(tmp_path, monkeypatch):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class A:\n    def used(self):\n        return self.spare\n\n"
+        "    @property\n    def spare(self):\n        return 1\n\n"
+        "    def lonely(self):\n        return self.lonely()\n\n"
+        "    def __repr__(self):\n        return 'A'\n\n"
+        "def f(a):\n    return a.used()\n"
+    )
+    init = tmp_path / "__init__.py"
+    init.write_text("")
+    monkeypatch.setattr(sys.modules[__name__], "MODULES", [init, module])
+    with pytest.raises(AssertionError, match="m.A.lonely"):
+        test_every_method_and_property_has_a_use()
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "normality"], ids=lambda p: p.stem)

@@ -1,7 +1,11 @@
 """The exact linear algebra core against sympy and the former library routines."""
 
+import hashlib
+import json
+import shlex
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,6 +14,17 @@ from hypothesis import strategies as st
 
 import oracles
 from quotlat import _linalg as la
+from quotlat import (
+    a_invariant,
+    conjugate,
+    discriminant_group,
+    group_cohomology,
+    parse_lattice_expr,
+    reiner_action,
+    weight_dim2,
+)
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def low_rank_matrix(rng, rows, cols, rank, spread=3):
@@ -366,3 +381,116 @@ def test_image_basis_and_columns_have_mutual_integer_coordinates():
         assert coords is not None, a
         if basis:
             assert oracles.snf_divisors(coords) == [1] * len(basis), a
+
+
+# (rows, columns, rank): the Smith-form benchmark's shapes, every other
+# square size (sympy's Smith form takes seconds on some 36 x 36 inputs)
+SNF_SHAPES = (
+    (8, 8, 8), (16, 16, 16), (24, 24, 24), (32, 32, 32), (40, 40, 40),
+    (16, 28, 16), (36, 20, 20), (24, 24, 16), (40, 40, 32),
+)
+
+
+def dependent_rows_matrix(rng, m, n, rank):
+    """m x n, entries in [-9, 9]: `rank` random rows, the rest copies of them up to sign."""
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rank)]
+    for _ in range(m - rank):
+        sign = rng.choice((-1, 1))
+        rows.append([sign * x for x in rng.choice(rows[:rank])])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_smith_form_transforms_stay_bounded_up_to_40():
+    """U A V = D with D a nonnegative divisibility chain, U and V unimodular,
+    the divisors sympy's, and no transform entry longer than 80 bits per row
+    or column of A.  The bound is set from this elimination (largest case:
+    3144 bits at 40 x 40); floor quotients x // piv reached 4611 bits on the
+    same matrix.  sympy's Smith form takes 1-20 s on a full-rank 40 x 40
+    input, so there the divisors are checked through their product |det A|;
+    with D diagonal and U, V unimodular that already makes D the Smith form."""
+    rng = Random(2024)
+    for m, n, rank in SNF_SHAPES:
+        a = dependent_rows_matrix(rng, m, n, rank)
+        res = la.smith_normal_form(a)
+        assert la.mat_mul(la.mat_mul(res.u, a), res.v) == res.d
+        diag = res.diagonal
+        assert all(res.d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        assert all(x >= 0 for x in diag)
+        assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
+        assert abs(oracles.det(res.u)) == abs(oracles.det(res.v)) == 1
+        divisors = [x for x in diag if x]
+        assert len(divisors) == rank
+        if (m, n, rank) == (40, 40, 40):
+            assert prod(divisors) == abs(oracles.det(a))
+        else:
+            assert divisors == oracles.snf_divisors(a)
+        bits = max(abs(x).bit_length() for t in (res.u, res.v) for row in t for x in row)
+        assert bits <= 80 * max(m, n), (m, n, rank, bits)
+
+
+def test_row_span_basis_and_rows_have_mutual_integer_coordinates():
+    """row_span_basis(A) has rank(A) rows; each row of A has integer
+    coordinates over them, and each of them over the rows of A: directly when
+    the rows of A are independent, else through a coordinate matrix with unit
+    invariant factors."""
+    rng = Random(11)
+    for case in range(150):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if case % 2:  # independent rows, as a rule
+            a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(min(rows, cols))]
+        else:
+            rank = rng.randint(0, min(rows, cols))
+            a = low_rank_matrix(rng, rows, cols, rank) if rank else la.zeros(rows, cols)
+        if case % 3 == 0:
+            a = [[2 * x for x in row] for row in a]  # a row span that is not saturated
+        rank = oracles.rank_rational(a)
+        basis = la.row_span_basis(a)
+        assert len(basis) == rank
+        coords = la.integer_coordinates(basis, a)
+        assert coords is not None, a
+        if rank == len(a):
+            assert la.integer_coordinates(a, basis) is not None, a
+        elif basis:
+            assert oracles.snf_divisors(coords) == [1] * len(basis), a
+
+
+# ------------------------------------------- results read off a Smith form
+#
+# Each digest below is sha256(repr(results)) as the library first produced
+# them.  The results are invariants: a Smith form with other unimodular
+# transforms (the same D) must leave every one unchanged.
+
+
+def _digest(results) -> str:
+    return hashlib.sha256(repr(results).encode()).hexdigest()
+
+
+def test_weight_dim2_is_pinned():
+    """weight_dim2 reads ray classes off V, their lift off V^-1, and the
+    images of g' and gbar off kernel_basis."""
+    results = [weight_dim2(p, q) for p in (2, 3, 5, 7, 11, 13, 17, 19) for q in range(1, p)]
+    assert _digest(results) == "e807bbf67a8df82f6879f55c182cb95b3ec2cc57adabda6384a24d1aaac697f2"
+
+
+def test_discriminant_groups_of_the_catalog_lattices_are_pinned():
+    """The 28 lattice expressions of the golden `lattice --invariants` runs."""
+    commands = json.loads(GOLDEN.read_text())
+    exprs = [shlex.split(c)[1] for c in commands if c.startswith("lattice ")]
+    assert len(exprs) == 28
+    groups = [str(discriminant_group(parse_lattice_expr(e))) for e in exprs]
+    assert _digest(groups) == "961441de8463e7b3338917239744707d2ae4fcd831294c34d64ad8d846cd66fe"
+
+
+def test_group_cohomology_and_a_invariant_are_pinned():
+    """Seeded Reiner actions, as built and conjugated by a unimodular W."""
+    rng = Random(17)
+    results = []
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(3):
+            t, c, g = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 2)
+            act = reiner_action(p, (t, c, g))
+            for action in (act, conjugate(act, oracles.random_unimodular(rng, act.rank))):
+                groups = [group_cohomology(action, i) for i in range(3)]
+                results.append((p, (t, c, g), groups, a_invariant(action)))
+    assert _digest(results) == "08739f8f0f153aacac9cb0e95be76e14476f62b8351148f6cb0cc11f03d7f9e4"
