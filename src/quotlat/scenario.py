@@ -22,9 +22,10 @@ from pathlib import Path
 
 from ._record import factory, record, replace
 from .gmodule import (
+    SUPPORTED_PRIMES,
     CohomologyProfile,
+    GModuleError,
     JordanProfile,
-    _is_prime,
     sym2_profile,
 )
 from .hilb2_ring import HilbertSquare, h2_primitivity_certificate, s_lattice_gram
@@ -88,7 +89,16 @@ __all__ = [
     "catalog_verify",
 ]
 
-KINDS = ("surface", "torus", "fourfold", "reference", "counterexample")
+# kind -> (complex dimension, number of expected.betti entries or None for none)
+KINDS = {
+    "surface": (2, 2),
+    "torus": (2, 2),
+    "fourfold": (4, 4),
+    "reference": (4, 3),
+    "counterexample": (4, None),
+}
+_REQUIRED = object()  # the default of a field that must be present
+_ITEM_NAMES = {int: "an integer", str: "a string", dict: "an object"}
 
 class SchemaError(ValueError):
     """A scenario record violates the schema; path points at the field."""
@@ -156,9 +166,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _expect(record, key, path, types, required=True, default=None):
+def _built(path, make, *args, message=None, **kwargs):
+    """make(*args, **kwargs), with the error a constructor raises on a bad
+    value turned into a SchemaError at path that says message or, without
+    one, what the error said."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, LatticeError, GModuleError) as exc:
+        raise SchemaError(path, message or str(exc)) from exc
+
+
+def _expect(record, key, path, types, default=_REQUIRED):
+    """record[key], of one of types (any type when None), or default when absent."""
     if key not in record:
-        if required:
+        if default is _REQUIRED:
             raise SchemaError(f"{path}.{key}", "missing required field")
         return default
     value = record[key]
@@ -168,69 +189,77 @@ def _expect(record, key, path, types, required=True, default=None):
     return value
 
 
-def _int_items(value, path) -> tuple[int, ...]:
-    for i, x in enumerate(value):
-        if not _is_int(x):
-            raise SchemaError(f"{path}[{i}]", f"expected an integer, got {type(x).__name__}")
+def _optional(record, key, path, types, parse, *args):
+    """parse(value, its path, *args) of a field that may be absent or null,
+    and otherwise of one of types (any type when None)."""
+    value = _expect(record, key, path, types and (types, type(None)), None)
+    return None if value is None else parse(value, f"{path}.{key}", *args)
+
+
+def _items(value, path, kind):
+    """A list as a tuple, each item of the JSON kind int, str or dict."""
+    for i, item in enumerate(value):
+        if not isinstance(item, kind) or isinstance(item, bool):
+            raise SchemaError(f"{path}[{i}]", f"expected {_ITEM_NAMES[kind]}, got {type(item).__name__}")
     return tuple(value)
 
 
-def _int_key(key, path):
-    """A degree key of a JSON object, which JSON spells as a string."""
-    try:
-        return int(key)
-    except ValueError:
-        raise SchemaError(path, "keys must be integers") from None
+def _list(record, key, path, kind, default=()):
+    return _items(_expect(record, key, path, list, default), f"{path}.{key}", kind)
 
 
-def _objects(record, key, path):
-    """(item path, item) for each entry of an optional list of objects."""
-    for i, item in enumerate(_expect(record, key, path, list, required=False, default=[])):
-        if not isinstance(item, dict):
-            raise SchemaError(f"{path}.{key}[{i}]", f"expected an object, got {type(item).__name__}")
-        yield f"{path}.{key}[{i}]", item
+def _one_of(value, path, choices):
+    if value not in choices:
+        raise SchemaError(path, f"expected one of {tuple(choices)}, got {value!r}")
+    return value
+
+
+def _by_degree(record, key, path, top, default=_REQUIRED):
+    """(degree, path, value) of each entry of an object keyed by degrees
+    1..top, which JSON spells as strings, in increasing degree."""
+    raw = _expect(record, key, path, dict, default)
+    keyed = sorted((_built(f"{path}.{key}.{k}", int, k, message="keys must be integers"), k) for k in raw)
+    for degree, k in keyed:
+        if k != str(degree):  # "02" or " 2" would stand beside "2" and one be lost
+            raise SchemaError(f"{path}.{key}.{k}", f"write degree {degree} as {str(degree)!r}")
+        if not 1 <= degree <= top:
+            raise SchemaError(f"{path}.{key}.{k}", f"degree out of range 1..{top}")
+        yield degree, f"{path}.{key}.{k}", raw[k]
 
 
 def _int_matrix(value, path):
     if not isinstance(value, list) or not value:
         raise SchemaError(path, "expected a nonempty list of rows")
-    rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or not all(map(_is_int, row)):
             raise SchemaError(f"{path}[{i}]", "expected a list of integers")
-        rows.append(tuple(row))
-    if any(len(r) != len(rows) for r in rows):
+    if any(len(row) != len(value) for row in value):
         raise SchemaError(path, "matrix must be square")
-    return tuple(rows)
+    return tuple(map(tuple, value))
 
 
 def _parse_lattice(value, path, name=""):
     """Expression string, {"gram": rows}, {"dual": [spec, p]}, or a block list."""
     if isinstance(value, str):
-        try:
-            parsed = parse_lattice_expr(value)
-        except Exception as exc:
-            raise SchemaError(path, f"bad lattice expression: {exc}") from exc
-        return GramLattice(parsed.gram, name=name or value)
+        return GramLattice(_built(path, parse_lattice_expr, value).gram, name=name or value)
     if isinstance(value, dict):
         if "gram" in value:
-            lattice = GramLattice(_int_matrix(value["gram"], f"{path}.gram"), name=name)
+            lattice = _built(f"{path}.gram", GramLattice, _int_matrix(value["gram"], f"{path}.gram"), name=name)
             if lattice.determinant == 0:
                 raise SchemaError(f"{path}.gram", "Gram matrix is degenerate")
             return lattice
         if "dual" in value:
             spec = value["dual"]
-            if not (isinstance(spec, list) and len(spec) == 2 and _is_int(spec[1]) and _is_prime(spec[1])):
+            pair = isinstance(spec, list) and len(spec) == 2
+            if not (pair and _is_int(spec[1]) and spec[1] in SUPPORTED_PRIMES):
                 raise SchemaError(f"{path}.dual", "expected [lattice, prime]")
-            lattice = _parse_lattice(spec[0], f"{path}.dual[0]")
-            try:
-                return dual_rescaled(lattice, spec[1])
-            except LatticeError as exc:
-                raise SchemaError(f"{path}.dual", str(exc)) from exc
+            return _built(f"{path}.dual", dual_rescaled, _parse_lattice(spec[0], f"{path}.dual[0]"), spec[1])
         raise SchemaError(path, "lattice object needs a 'gram' or 'dual' key")
+    if value == []:
+        raise SchemaError(path, "expected a nonempty list of blocks")
     if isinstance(value, list):
-        blocks = [_parse_lattice(item, f"{path}[{i}]") for i, item in enumerate(value)]
-        return GramLattice(direct_sum([b.gram_rows() for b in blocks]), name=name)
+        blocks = [_parse_lattice(item, f"{path}[{i}]").gram_rows() for i, item in enumerate(value)]
+        return GramLattice(direct_sum(blocks), name=name)
     raise SchemaError(path, f"cannot read a lattice from {type(value).__name__}")
 
 
@@ -241,100 +270,69 @@ def _parse_degree_profile(p, value, path, degrees):
         src = _expect(value, "sym2_of", path, int)
         if src not in degrees:
             raise SchemaError(f"{path}.sym2_of", f"degree {src} not declared before use")
-        return sym2_profile(degrees[src])
+        return _built(f"{path}.sym2_of", sym2_profile, degrees[src])
     if p == 2:
-        plus = _expect(value, "plus", path, int)
-        minus = _expect(value, "minus", path, int)
-        free = _expect(value, "free", path, int)
-        try:
-            return JordanProfile(p=2, blocks=(0, plus + minus, free), plus_rank=plus, minus_rank=minus)
-        except Exception as exc:
-            raise SchemaError(path, str(exc)) from exc
+        plus, minus, free = (_expect(value, key, path, int) for key in ("plus", "minus", "free"))
+        return _built(path, JordanProfile, 2, (0, plus + minus, free), plus_rank=plus, minus_rank=minus)
     counts = _expect(value, "l", path, list)
     if len(counts) != p or not all(map(_is_int, counts)):
         raise SchemaError(f"{path}.l", f"expected {p} integer block counts l_1..l_{p}")
-    try:
-        return JordanProfile(p=p, blocks=(0, *counts))
-    except Exception as exc:
-        raise SchemaError(f"{path}.l", str(exc)) from exc
+    return _built(f"{path}.l", JordanProfile, p, (0, *counts))
 
 
-def _parse_profile(p, dimension, record, path):
-    torsion_free = _expect(record, "torsion_free", path, bool, required=False, default=True)
-    raw = _expect(record, "degrees", path, dict)
+def _parse_profile(value, path, p, dimension):
+    torsion_free = _expect(value, "torsion_free", path, bool, True)
     degrees: dict[int, JordanProfile] = {}
-    keyed = [(_int_key(key, f"{path}.degrees.{key}"), key) for key in raw]
-    for k, key in sorted(keyed):
-        if not 1 <= k <= dimension:
-            raise SchemaError(
-                f"{path}.degrees.{key}", f"declare degrees 1..{dimension}; mirrors are filled in"
-            )
-        degrees[k] = _parse_degree_profile(p, raw[key], f"{path}.degrees.{key}", degrees)
-    for k in list(degrees):
-        mirror = 2 * dimension - k
-        if mirror != k:
-            degrees[mirror] = degrees[k]
-    try:
-        return CohomologyProfile.from_degrees(p, dimension, degrees, torsion_free=torsion_free)
-    except Exception as exc:
-        raise SchemaError(f"{path}.degrees", str(exc)) from exc
+    for k, kpath, item in _by_degree(value, "degrees", path, dimension):
+        degrees[k] = _parse_degree_profile(p, item, kpath, degrees)
+    for k in list(degrees):  # the mirror degrees 2n - k
+        degrees[2 * dimension - k] = degrees[k]
+    return CohomologyProfile.from_degrees(p, dimension, degrees, torsion_free=torsion_free)
 
 
 def _parse_weight(value, path):
-    if value is None:
-        return None
     if _is_int(value):
         value = [value, value]
     if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
         raise SchemaError(path, "weight must be an integer, a [lo, hi] pair, or null")
-    try:
-        return WeightValue(*value)
-    except ValueError as exc:  # bounds outside 0 <= lo <= hi <= 2
-        raise SchemaError(path, str(exc)) from exc
+    return _built(path, WeightValue, *value)  # bounds outside 0 <= lo <= hi <= 2
 
 
-def _parse_fixed_locus(p, record, path):
+def _parse_fixed_locus(value, path, p):
     isolated = []
-    for ipath, item in _objects(record, "isolated", path):
-        exps = _int_items(_expect(item, "exponents", ipath, list), f"{ipath}.exponents")
-        count = _expect(item, "count", ipath, int, required=False, default=1)
-        weight = _parse_weight(item.get("weight"), f"{ipath}.weight")
-        try:
-            isolated.append(isolated_points(p, exps, multiplicity=count, weight=weight))
-        except Exception as exc:
-            raise SchemaError(ipath, str(exc)) from exc
+    for i, item in enumerate(_list(value, "isolated", path, dict)):
+        ipath = f"{path}.isolated[{i}]"
+        exps = _list(item, "exponents", ipath, int, _REQUIRED)
+        count = _expect(item, "count", ipath, int, 1)
+        weight = _optional(item, "weight", ipath, None, _parse_weight)
+        isolated.append(_built(ipath, isolated_points, p, exps, multiplicity=count, weight=weight))
     components = []
-    for cpath, item in _objects(record, "components", path):
-        exps = _expect(item, "exponents", cpath, (list, type(None)), required=False)
-        if exps is not None:
-            exps = _int_items(exps, f"{cpath}.exponents")
-        try:
-            local = None if exps is None else FixedPointLocal(p, exps)
-            components.append(
-                FixedComponent(
-                    dimension=_expect(item, "dimension", cpath, int),
-                    even_betti_sum=_expect(item, "even_betti_sum", cpath, int),
-                    odd_betti_sum=_expect(item, "odd_betti_sum", cpath, int, required=False, default=0),
-                    label=_expect(item, "label", cpath, str, required=False, default=""),
-                    local=local,
-                )
-            )
-        except SchemaError:
-            raise
-        except Exception as exc:
-            raise SchemaError(cpath, str(exc)) from exc
+    for i, item in enumerate(_list(value, "components", path, dict)):
+        cpath = f"{path}.components[{i}]"
+        exps = _optional(item, "exponents", cpath, list, _items, int)
+        local = None if exps is None else _built(cpath, FixedPointLocal, p, exps)
+        component = _built(
+            cpath,
+            FixedComponent,
+            dimension=_expect(item, "dimension", cpath, int),
+            even_betti_sum=_expect(item, "even_betti_sum", cpath, int),
+            odd_betti_sum=_expect(item, "odd_betti_sum", cpath, int, 0),
+            label=_expect(item, "label", cpath, str, ""),
+            local=local,
+        )
+        components.append(component)
     flag = (bool, type(None))
     return FixedLocusSummary(
         isolated=tuple(isolated),
         components=tuple(components),
-        torsion_free=_expect(record, "torsion_free", path, bool, required=False, default=True),
-        sigma_simply_connected=_expect(record, "sigma_simply_connected", path, flag, required=False),
-        sigma_class_primitive=_expect(record, "sigma_class_primitive", path, flag, required=False),
+        torsion_free=_expect(value, "torsion_free", path, bool, True),
+        sigma_simply_connected=_expect(value, "sigma_simply_connected", path, flag, None),
+        sigma_class_primitive=_expect(value, "sigma_class_primitive", path, flag, None),
     )
 
 
 def _parse_glue(value, path):
-    if value is None or value == "auto":
+    if value == "auto":
         return value
     if not isinstance(value, dict):
         raise SchemaError(path, "glue must be null, 'auto', or an object with rows/divided")
@@ -342,36 +340,33 @@ def _parse_glue(value, path):
     divided = _expect(value, "divided", path, list)
     if not all(_is_int(i) and 0 <= i < len(rows) for i in divided):
         raise SchemaError(f"{path}.divided", "expected row indices into rows")
-    flags = tuple(i in set(divided) for i in range(len(rows)))
-    try:
-        return GlueSpec(rows, flags)
-    except Exception as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return _built(path, GlueSpec, rows, tuple(i in divided for i in range(len(rows))))
 
 
-def _parse_expected(record, path, name):
-    verdicts = {}
-    for key, v in _expect(record, "verdicts", path, dict, required=False, default={}).items():
-        if v not in (NORMAL, NOT_NORMAL, UNKNOWN):
-            raise SchemaError(f"{path}.verdicts.{key}", f"bad verdict {v!r}")
-        verdicts[_int_key(key, f"{path}.verdicts.{key}")] = v
-    alpha = {}
-    for key, v in _expect(record, "alpha", path, dict, required=False, default={}).items():
-        if not (isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and (v[1] is None or _is_int(v[1]))):
-            raise SchemaError(f"{path}.alpha.{key}", "expected [lo, hi] with hi an integer or null")
-        alpha[_int_key(key, f"{path}.alpha.{key}")] = (v[0], v[1])
-    quotient = record.get("quotient")
-    exact = record.get("quotient_exact_gram")
-    betti = _expect(record, "betti", path, (list, type(None)), required=False)
+def _parse_alpha(value, path):
+    pair = isinstance(value, list) and len(value) == 2 and _is_int(value[0])
+    if not (pair and (value[1] is None or _is_int(value[1]))):
+        raise SchemaError(path, "expected [lo, hi] with hi an integer or null")
+    return tuple(value)
+
+
+def _parse_expected(value, path, name, kind, top):
+    betti = _optional(value, "betti", path, list, _items, int)
+    length = KINDS[kind][1]
+    if betti is not None and len(betti) != length:
+        raise SchemaError(
+            f"{path}.betti", f"expected {length or 'no'} Betti numbers for kind {kind!r}, got {len(betti)}"
+        )
+    verdicts = (NORMAL, NOT_NORMAL, UNKNOWN)
     return Expected(
-        quotient=None if quotient is None else _parse_lattice(quotient, f"{path}.quotient", name=f"{name}/G"),
-        quotient_exact_gram=None if exact is None else _int_matrix(exact, f"{path}.quotient_exact_gram"),
-        fujiki_constant=_expect(record, "fujiki_constant", path, int, required=False),
-        betti=None if betti is None else _int_items(betti, f"{path}.betti"),
-        fix_count=_expect(record, "fix_count", path, int, required=False),
-        verdicts=verdicts,
-        alpha=alpha,
-        witness=_expect(record, "witness", path, str, required=False),
+        verdicts={k: _one_of(v, vpath, verdicts) for k, vpath, v in _by_degree(value, "verdicts", path, top, {})},
+        alpha={k: _parse_alpha(v, vpath) for k, vpath, v in _by_degree(value, "alpha", path, top, {})},
+        quotient=_optional(value, "quotient", path, None, _parse_lattice, f"{name}/G"),
+        quotient_exact_gram=_optional(value, "quotient_exact_gram", path, None, _int_matrix),
+        fujiki_constant=_expect(value, "fujiki_constant", path, int, None),
+        betti=betti,
+        fix_count=_expect(value, "fix_count", path, int, None),
+        witness=_expect(value, "witness", path, str, None),
     )
 
 
@@ -379,57 +374,28 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
     if not isinstance(record, dict):
         raise SchemaError(path, f"expected an object, got {type(record).__name__}")
     name = _expect(record, "name", path, str)
-    kind = _expect(record, "kind", path, str)
-    if kind not in KINDS:
-        raise SchemaError(f"{path}.kind", f"expected one of {KINDS}, got {kind!r}")
-    p = _expect(record, "prime", path, int)
-    dim = _expect(record, "complex_dimension", path, int)
-    aliases = tuple(_expect(record, "aliases", path, list, required=False, default=[]))
-    if not all(isinstance(a, str) for a in aliases):
-        raise SchemaError(f"{path}.aliases", "aliases must be strings")
-
-    cohomology = _expect(record, "cohomology", path, (dict, type(None)), required=False)
-    profile = None if cohomology is None else _parse_profile(p, dim, cohomology, f"{path}.cohomology")
-    fixed_locus = _expect(record, "fixed_locus", path, (dict, type(None)), required=False)
-    fixed = None if fixed_locus is None else _parse_fixed_locus(p, fixed_locus, f"{path}.fixed_locus")
-    invariant = None
-    if record.get("invariant_lattice") is not None:
-        invariant = _parse_lattice(record["invariant_lattice"], f"{path}.invariant_lattice", name=name)
-
-    routes = {}
-    for key, route in _expect(record, "routes", path, dict, required=False, default={}).items():
-        if route not in ROUTES:
-            raise SchemaError(f"{path}.routes.{key}", f"expected one of {ROUTES}, got {route!r}")
-        k = _int_key(key, f"{path}.routes.{key}")
-        if not 1 <= k <= 2 * dim:
-            raise SchemaError(f"{path}.routes.{key}", f"degree out of range 1..{2 * dim}")
-        routes[k] = route
-
-    torsion = _expect(record, "sym2_cokernel_torsion", path, (list, type(None)), required=False)
-    if torsion is not None:
-        torsion = _int_items(torsion, f"{path}.sym2_cokernel_torsion")
-    notes = tuple(_expect(record, "notes", path, list, required=False, default=[]))
-    for i, note in enumerate(notes):
-        if not isinstance(note, str):
-            raise SchemaError(f"{path}.notes[{i}]", f"expected a string, got {type(note).__name__}")
+    kind = _one_of(_expect(record, "kind", path, str), f"{path}.kind", KINDS)
+    p = _one_of(_expect(record, "prime", path, int), f"{path}.prime", SUPPORTED_PRIMES)
+    dim = KINDS[kind][0]
+    declared = _expect(record, "complex_dimension", path, int)
+    if declared != dim:
+        raise SchemaError(f"{path}.complex_dimension", f"expected {dim} for kind {kind!r}, got {declared}")
     scenario = Scenario(
         name=name,
         kind=kind,
         prime=p,
         complex_dimension=dim,
-        aliases=aliases,
-        description=_expect(record, "description", path, str, required=False, default=""),
-        source=_expect(record, "source", path, str, required=False, default=""),
-        profile=profile,
-        fixed_locus=fixed,
-        invariant=invariant,
-        glue=_parse_glue(record.get("glue"), f"{path}.glue"),
-        routes=routes,
-        sym2_cokernel_torsion=torsion,
-        expected=_parse_expected(
-            _expect(record, "expected", path, dict, required=False, default={}), f"{path}.expected", name
-        ),
-        notes=notes,
+        aliases=_list(record, "aliases", path, str),
+        profile=_optional(record, "cohomology", path, dict, _parse_profile, p, dim),
+        fixed_locus=_optional(record, "fixed_locus", path, dict, _parse_fixed_locus, p),
+        invariant=_optional(record, "invariant_lattice", path, None, _parse_lattice, name),
+        routes={k: _one_of(r, rpath, ROUTES) for k, rpath, r in _by_degree(record, "routes", path, 2 * dim, {})},
+        sym2_cokernel_torsion=_optional(record, "sym2_cokernel_torsion", path, list, _items, int),
+        notes=_list(record, "notes", path, str),
+        description=_expect(record, "description", path, str, ""),
+        source=_expect(record, "source", path, str, ""),
+        glue=_optional(record, "glue", path, None, _parse_glue),
+        expected=_parse_expected(_expect(record, "expected", path, dict, {}), f"{path}.expected", name, kind, 2 * dim),
     )
     _check_consistency(scenario)
     return scenario
@@ -459,11 +425,7 @@ def _check_consistency(s: Scenario) -> None:
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
     p = Path(path)
-    try:
-        record = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(str(p), f"not valid JSON: {exc}") from exc
-    return scenario_from_record(record, path=p.stem)
+    return scenario_from_record(_built(str(p), json.loads, p.read_bytes()), path=p.stem)
 
 
 def catalog_dir() -> Path:

@@ -12,6 +12,10 @@ Every top-level definition has a use: another top-level statement of the
 package names it, the package `__init__` re-exports it, or the benchmark
 tracer (`perfbench/tracer.py`, read here with ast) wraps it by name.
 
+The scenario reader turns a caught error into `SchemaError` in one place,
+its constructor helper, so that no record field grows a try/except of its
+own.
+
 The verdict names are spelled once, as `normality.NORMAL`, `NOT_NORMAL`
 and `UNKNOWN`; every other module compares with those constants.
 """
@@ -208,3 +212,11 @@ def test_verdict_names_are_spelled_only_in_normality(path):
         if isinstance(node, ast.Constant) and node.value in ("Normal", "NotNormal", "Unknown")
     ]
     assert spelled == []
+
+
+def test_scenario_converts_errors_to_schema_error_in_one_handler():
+    tree = ast.parse((Path(quotlat.__file__).parent / "scenario.py").read_text())
+    converting = [h for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and "SchemaError" in _names_used(h)]
+    helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_built")
+    assert converting == [h for h in ast.walk(helper) if isinstance(h, ast.ExceptHandler)]
+    assert len(converting) == 1

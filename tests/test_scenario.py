@@ -1,10 +1,15 @@
 """Scenario records: schema, consistency checks, catalog, verification."""
 
+import copy
+import io
 import json
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quotlat import (
     find_glue,
@@ -165,61 +170,192 @@ def _rekey(path, old, new):
     return mutate
 
 
+DICT_OR_NULL = "expected (<class 'dict'>, <class 'NoneType'>)"
+LIST_OR_NULL = "expected (<class 'list'>, <class 'NoneType'>)"
+FLAG = "expected (<class 'bool'>, <class 'NoneType'>)"
+PRIMES = "expected one of (2, 3, 5, 7, 11, 13, 17, 19)"
+WEIGHT_BOUNDS = "weight bounds must satisfy 0 <= lo <= hi <= 2"
+ALPHA = "expected [lo, hi] with hi an integer or null"
+WEIGHT_ROW = {"exponents": [1, 1], "count": 2}
+
+# (field, mutation of the Z11 record, full SchemaError message after the path)
 MALFORMED = [
-    ("fixed_locus", _set("fixed_locus", [])),
-    ("expected", _set("expected", [])),
-    ("cohomology", _set("cohomology", 5)),
-    ("fixed_locus.isolated[0]", _set("fixed_locus.isolated", ["x"])),
-    ("fixed_locus.components[0]", _set("fixed_locus.components", [5])),
+    ("fixed_locus", _set("fixed_locus", []), f"{DICT_OR_NULL}, got list"),
+    ("expected", _set("expected", []), "expected <class 'dict'>, got list"),
+    ("cohomology", _set("cohomology", 5), f"{DICT_OR_NULL}, got int"),
+    ("fixed_locus.isolated[0]", _set("fixed_locus.isolated", ["x"]), "expected an object, got str"),
+    ("fixed_locus.components[0]", _set("fixed_locus.components", [5]), "expected an object, got int"),
     (
         "fixed_locus.components[0].exponents",
         _set("fixed_locus.components", [{"dimension": 1, "even_betti_sum": 2, "exponents": 3}]),
+        f"{LIST_OR_NULL}, got int",
     ),
-    ("expected.betti", _set("expected.betti", 2)),
-    ("sym2_cokernel_torsion", _set("sym2_cokernel_torsion", 2)),
-    ("routes.two", _rekey("routes", "2", "two")),
-    ("expected.verdicts.two", _rekey("expected.verdicts", "2", "two")),
-    ("expected.alpha.two", _set("expected.alpha", {"two": [0, 0]})),
+    ("expected.betti", _set("expected.betti", 2), f"{LIST_OR_NULL}, got int"),
+    ("sym2_cokernel_torsion", _set("sym2_cokernel_torsion", 2), f"{LIST_OR_NULL}, got int"),
+    ("routes.two", _rekey("routes", "2", "two"), "keys must be integers"),
+    ("expected.verdicts.two", _rekey("expected.verdicts", "2", "two"), "keys must be integers"),
+    ("expected.alpha.two", _set("expected.alpha", {"two": [0, 0]}), "keys must be integers"),
     # values of the right JSON type that make no sense
-    ("prime", _set("prime", True)),
-    ("invariant_lattice.dual", _set("invariant_lattice", {"dual": ["U", 0]})),
-    ("invariant_lattice[0].dual", _set("invariant_lattice", [{"dual": ["U", -1]}])),
-    ("expected.quotient.dual", _set("expected.quotient", {"dual": ["U", 4]})),
-    ("expected.quotient[1].dual", _set("expected.quotient", ["U", {"dual": ["U", True]}])),
+    ("prime", _set("prime", True), "expected <class 'int'>, got bool"),
+    ("invariant_lattice.dual", _set("invariant_lattice", {"dual": ["U", 0]}), "expected [lattice, prime]"),
+    ("invariant_lattice[0].dual", _set("invariant_lattice", [{"dual": ["U", -1]}]), "expected [lattice, prime]"),
+    ("expected.quotient.dual", _set("expected.quotient", {"dual": ["U", 4]}), "expected [lattice, prime]"),
+    (
+        "expected.quotient[1].dual",
+        _set("expected.quotient", ["U", {"dual": ["U", True]}]),
+        "expected [lattice, prime]",
+    ),
     # A2 is nondegenerate but its discriminant group Z/3 is not 11-elementary
-    ("invariant_lattice.dual[0].dual", _set("invariant_lattice", {"dual": [{"dual": ["A2", 11]}, 11]})),
-    ("invariant_lattice.gram", _set("invariant_lattice", {"gram": [[0, 0], [0, 0]]})),
+    (
+        "invariant_lattice.dual[0].dual",
+        _set("invariant_lattice", {"dual": [{"dual": ["A2", 11]}, 11]}),
+        "discriminant group Z/3 is not 11-elementary",
+    ),
+    ("invariant_lattice.gram", _set("invariant_lattice", {"gram": [[0, 0], [0, 0]]}), "Gram matrix is degenerate"),
     (
         "invariant_lattice.dual[0].dual[0].gram",
         _set("invariant_lattice", {"dual": [{"dual": [{"gram": [[0, 0], [0, 0]]}, 11]}, 11]}),
+        "Gram matrix is degenerate",
     ),
-    ("fixed_locus.sigma_simply_connected", _set("fixed_locus.sigma_simply_connected", "no")),
-    ("fixed_locus.sigma_class_primitive", _set("fixed_locus.sigma_class_primitive", 1)),
-    ("expected.alpha.2", _set("expected.alpha", {"2": ["a", "b"]})),
-    ("expected.alpha.4", _set("expected.alpha", {"4": [0, "b"]})),
-    ("expected.betti[1]", _set("expected.betti", [2, "4"])),
-    ("sym2_cokernel_torsion[0]", _set("sym2_cokernel_torsion", [True])),
-    ("notes[0]", _set("notes", [5])),
+    ("fixed_locus.sigma_simply_connected", _set("fixed_locus.sigma_simply_connected", "no"), f"{FLAG}, got str"),
+    ("fixed_locus.sigma_class_primitive", _set("fixed_locus.sigma_class_primitive", 1), f"{FLAG}, got int"),
+    ("expected.alpha.2", _set("expected.alpha", {"2": ["a", "b"]}), ALPHA),
+    ("expected.alpha.4", _set("expected.alpha", {"4": [0, "b"]}), ALPHA),
+    ("expected.betti[1]", _set("expected.betti", [2, "4"]), "expected an integer, got str"),
+    ("sym2_cokernel_torsion[0]", _set("sym2_cokernel_torsion", [True]), "expected an integer, got bool"),
+    ("notes[0]", _set("notes", [5]), "expected a string, got int"),
     # declared weights outside 0 <= lo <= hi <= 2
-    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{"exponents": [1, 1], "count": 2, "weight": 5}])),
-    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{"exponents": [1, 1], "count": 2, "weight": [2, 1]}])),
-    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{"exponents": [1, 1], "count": 2, "weight": [-1, 1]}])),
+    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{**WEIGHT_ROW, "weight": 5}]), WEIGHT_BOUNDS),
+    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{**WEIGHT_ROW, "weight": [2, 1]}]), WEIGHT_BOUNDS),
+    ("fixed_locus.isolated[0].weight", _set("fixed_locus.isolated", [{**WEIGHT_ROW, "weight": [-1, 1]}]), WEIGHT_BOUNDS),
+    # the kind fixes the dimension and the Betti shape, the prime is a
+    # supported one, and a constructor's error is reported at its field
+    pytest.param(
+        "invariant_lattice.gram",
+        _set("invariant_lattice", {"gram": [[2, 1], [0, 2]]}),
+        "Gram matrix must be square and symmetric",
+        id="invariant_lattice.gram-asymmetric",
+    ),
+    pytest.param("prime", _set("prime", 4), f"{PRIMES}, got 4", id="prime-unsupported"),
+    ("complex_dimension", _set("complex_dimension", 4), "expected 2 for kind 'surface', got 4"),
+    pytest.param(
+        "expected.betti",
+        _set("expected.betti", [22, 24, 1]),
+        "expected 2 Betti numbers for kind 'surface', got 3",
+        id="expected.betti-length",
+    ),
 ]
 
 
-@pytest.mark.parametrize("field, mutate", MALFORMED, ids=[f for f, _ in MALFORMED])
-def test_malformed_record_names_the_field(tmp_path, capsys, field, mutate):
-    rec = minimal_record()
-    mutate(rec)
+def _assert_names_the_field(tmp_path, capsys, rec, field, message):
+    """rec fails to load with SchemaError at field, in process and in the CLI."""
     with pytest.raises(SchemaError) as exc:
         scenario_from_record(rec)
     assert exc.value.path == f"scenario.{field}"
+    assert str(exc.value) == f"scenario.{field}: {message}"
     target = tmp_path / "broken.json"
     target.write_text(json.dumps(rec))
     assert main(["normality", str(target)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: broken.{field}: ")
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: broken.{field}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field, mutate, message", MALFORMED, ids=[getattr(row, "id", None) or row[0] for row in MALFORMED]
+)
+def test_malformed_record_names_the_field(tmp_path, capsys, field, mutate, message):
+    rec = minimal_record()
+    mutate(rec)
+    _assert_names_the_field(tmp_path, capsys, rec, field, message)
+
+
+# (record file, field, mutation, message), on any record; with them, each
+# constructor the reader calls fails once at its field
+MORE_MALFORMED = [
+    (
+        "14-M5.json",
+        "cohomology.degrees.4.sym2_of",
+        _set("cohomology.degrees", {"2": {"l": [1, 1, 0, 0, 0]}, "4": {"sym2_of": 2}}),
+        "profile has middle blocks; closed formula unavailable",
+    ),
+    ("12-Mprime.json", "prime", _set("prime", -7), f"{PRIMES}, got -7"),
+    (
+        "12-Mprime.json",
+        "expected.betti",
+        _set("expected.betti", [16, 178]),
+        "expected 3 Betti numbers for kind 'reference', got 2",
+    ),
+    ("18-CE2.json", "prime", _set("prime", 1), f"{PRIMES}, got 1"),
+    (
+        "18-CE2.json",
+        "expected.betti",
+        _set("expected.betti", [1, 2]),
+        "expected no Betti numbers for kind 'counterexample', got 2",
+    ),
+    ("08-Z11.json", "complex_dimension", _set("complex_dimension", 0), "expected 2 for kind 'surface', got 0"),
+    (
+        "08-Z11.json",
+        "complex_dimension",
+        _set("complex_dimension", 10**30),
+        f"expected 2 for kind 'surface', got {10**30}",
+    ),
+    ("08-Z11.json", "prime", _set("prime", 10**18 + 9), f"{PRIMES}, got {10**18 + 9}"),
+    ("08-Z11.json", "invariant_lattice", _set("invariant_lattice", "U(11"), "expected ) (at position 4)"),
+    ("08-Z11.json", "expected.quotient", _set("expected.quotient", []), "expected a nonempty list of blocks"),
+    ("01-Y2.json", "cohomology.degrees.2", _set("cohomology.degrees.2.plus", -1), "negative block count"),
+    ("08-Z11.json", "cohomology.degrees.2.l", _set("cohomology.degrees.2.l", [0] * 10 + [-1]), "negative block count"),
+    (
+        "08-Z11.json",
+        "fixed_locus.isolated[0]",
+        _set("fixed_locus.isolated", [{"exponents": [11, 1], "count": 2}]),
+        "exponents must lie in [0, 10]",
+    ),
+    (
+        "08-Z11.json",
+        "fixed_locus.components[0]",
+        _set("fixed_locus.components", [{"dimension": 1, "even_betti_sum": 2, "exponents": [0, 0]}]),
+        "a fixed point of the identity is not a local model",
+    ),
+    (
+        "08-Z11.json",
+        "fixed_locus.components[0]",
+        _set("fixed_locus.components", [{"dimension": 0, "even_betti_sum": 2}]),
+        "components have positive dimension; use IsolatedPoints",
+    ),
+    ("14-M5.json", "glue", _set("glue.rows", [[0] * 7] * 7), "transform is singular"),
+    (
+        "08-Z11.json",
+        "expected.verdicts.2",
+        _set("expected.verdicts", {"2": "normal"}),
+        "expected one of ('Normal', 'NotNormal', 'Unknown'), got 'normal'",
+    ),
+    ("08-Z11.json", "expected.verdicts.5", _set("expected.verdicts", {"5": "Normal"}), "degree out of range 1..4"),
+    ("08-Z11.json", "cohomology.degrees.3", _set("cohomology.degrees", {"3": {}}), "degree out of range 1..2"),
+    ("08-Z11.json", "routes.02", _set("routes", {"2": "surface", "02": "declared"}), "write degree 2 as '2'"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, field, mutate, message",
+    MORE_MALFORMED,
+    ids=[f"{name[3:-5]}-{field}-{i}" for i, (name, field, _, _) in enumerate(MORE_MALFORMED)],
+)
+def test_more_malformed_records_name_the_field(tmp_path, capsys, name, field, mutate, message):
+    rec = json.loads((catalog_dir() / name).read_text())
+    mutate(rec)
+    _assert_names_the_field(tmp_path, capsys, rec, field, message)
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"\x80{}", b"{"], ids=["bom", "not-utf8", "truncated"])
+def test_undecodable_file_is_a_schema_error_at_the_file(tmp_path, capsys, data):
+    target = tmp_path / "broken.json"
+    target.write_bytes(data)
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(target)
+    assert exc.value.path == str(target)
+    assert main(["normality", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {target}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -335,3 +471,76 @@ def test_failed_weight_read_exits_2(monkeypatch, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: no weight for 1/5(1, 1, 4, 4)\n"
+
+
+# -- fuzz: mutate any node of any catalog record -----------------------------
+
+RECORDS = [json.loads(f.read_text()) for f in sorted(catalog_dir().glob("*.json"))]
+# values of other JSON types, an out-of-range integer and a non-symmetric Gram
+REPLACEMENTS = [None, True, 10**30, -1, "x", {}, [], {"gram": [[2, 1], [0, 2]]}, [[2, 1], [0, 2]]]
+
+
+def _node_paths(tree, path=()):
+    """Key path of every node of a JSON tree, the root first."""
+    yield path
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield from _node_paths(value, (*path, key))
+
+
+NODE_PATHS = [list(_node_paths(rec)) for rec in RECORDS]
+
+
+@st.composite
+def mutated_records(draw):
+    """A catalog record with one node deleted, replaced by a value of another
+    shape (a list one entry shorter or longer among them), or given an
+    unknown key."""
+    i = draw(st.integers(0, len(RECORDS) - 1))
+    path = draw(st.sampled_from(NODE_PATHS[i]))
+    rec = copy.deepcopy(RECORDS[i])
+    parent = rec
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else rec
+    choices = ["replace"] + ["delete"] * bool(path) + ["add"] * isinstance(node, dict)
+    action = draw(st.sampled_from(choices))
+    if action == "add":
+        node["unknown_key"] = draw(st.sampled_from(REPLACEMENTS))
+    elif action == "delete":
+        del parent[path[-1]]
+    else:
+        values = REPLACEMENTS + ([node[:-1], node + node[-1:]] if isinstance(node, list) and node else [])
+        value = draw(st.sampled_from(values))
+        if not path:
+            return value
+        parent[path[-1]] = value
+    return rec
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzzed.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_records(), st.integers(0, 14))
+def test_mutated_records_load_or_raise_a_record_error(fuzz_file, rec, sample):
+    """The reader only succeeds or raises SchemaError or ConsistencyError, and
+    one example in 15 also runs `normality` and `quotient`: exit 0 or 1, or
+    exit 2 with one error line and nothing on stdout."""
+    try:
+        scenario_from_record(rec)
+    except (SchemaError, ConsistencyError):
+        pass
+    if sample:
+        return
+    fuzz_file.write_text(json.dumps(rec))
+    for command in ("normality", "quotient"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(fuzz_file)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
