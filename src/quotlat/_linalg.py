@@ -1,8 +1,11 @@
 """Exact integer and rational linear algebra helpers.
 
-Everything here operates on plain ``list[list[int]]`` matrices (the
-elimination over Q also takes ``Fraction`` entries) and never touches
-floating point.  Matrix products have one kernel, ``mat_mul``: Kronecker
+Matrix contract: every function reads any sequence of integer rows, the
+records' tuples of tuples as well as lists (the elimination over Q also
+takes ``Fraction`` entries), never writes into an argument, and returns
+each matrix as a fresh ``list[list[int]]``; nothing touches floating
+point.  Callers pass record fields straight in.
+Matrix products have one kernel, ``mat_mul``: Kronecker
 substitution packs each row of the right factor into one int, so a row of
 the product is one sum of big-integer multiples that skips zero entries,
 and sparse and dense operands take the same route.  ``mat_pow``,
@@ -134,6 +137,14 @@ def is_symmetric(a) -> bool:
     return all(len(row) == n for row in a) and all(
         a[i][j] == a[j][i] for i in range(n) for j in range(n)
     )
+
+
+def shift_diagonal(a, c: int) -> Matrix:
+    """a + c I for a square a: a C-speed row copy, then c added on the diagonal."""
+    out = [list(row) for row in a]
+    for i, row in enumerate(out):
+        row[i] += c
+    return out
 
 
 def mat_pow(a, e: int) -> Matrix:

@@ -65,7 +65,7 @@ def _read_matrix(path: str) -> list[list[int]]:
             raise ValueError(f"{path}: rows must be lists of integers")
     if not data[0] or any(len(row) != len(data[0]) for row in data):
         raise ValueError(f"{path}: rows must be nonempty and of equal length")
-    return [list(row) for row in data]
+    return data
 
 
 def _read_lattice(token: str) -> GramLattice:
@@ -112,7 +112,7 @@ def cmd_lattice(args) -> int:
     invariants = _invariant_lines(lat) if args.invariants else []
     if lat.name:
         print(f"lattice {lat.name}")
-    print(_fmt_matrix(lat.gram_rows()))
+    print(_fmt_matrix(lat.gram))
     _print_lines(invariants)
     return 0
 
@@ -183,12 +183,12 @@ def cmd_quotient(args) -> int:
     elif q is None:
         lines = ["no glue recipe declared; quotient lattice not computed"]
     elif s.kind == "reference":
-        lines = ["declared quotient lattice (reference row, not recomputed):", _fmt_matrix(q.gram.gram_rows())]
+        lines = ["declared quotient lattice (reference row, not recomputed):", _fmt_matrix(q.gram.gram)]
         if s.expected.fujiki_constant is not None:
             lines.append(f"declared Fujiki constant C = {s.expected.fujiki_constant}")
     else:
         title = "middle-degree lattice (dual rescaled by p)" if q.bb is None else "Beauville-Bogomolov lattice"
-        lines = [f"quotient {title}:", _fmt_matrix(q.gram.gram_rows()), *_invariant_lines(q.gram)]
+        lines = [f"quotient {title}:", _fmt_matrix(q.gram.gram), *_invariant_lines(q.gram)]
         if q.bb is not None:
             lines += [
                 f"Fujiki constant    C = {q.bb.fujiki_constant}",
@@ -409,6 +409,7 @@ def main(argv=None) -> int:
         ValueError,
         KeyError,
         OSError,
+        RecursionError,
     ) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

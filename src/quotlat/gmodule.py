@@ -141,41 +141,30 @@ class PrimeOrderAction:
     def __post_init__(self):
         if not _is_prime(self.p):
             raise UnsupportedPrime(f"{self.p} is not prime")
-        phi = _freeze(self.phi)
-        object.__setattr__(self, "phi", phi)
-        n = len(phi)
+        object.__setattr__(self, "phi", _freeze(self.phi))
+        phi, n = self.phi, len(self.phi)
         if any(len(r) != n for r in phi):
             raise NotAnOrderPAction("phi must be square")
-        mat = [list(r) for r in phi]
-        if la.mat_pow(mat, self.p) != la.identity(n):
+        if la.mat_pow(phi, self.p) != la.identity(n):
             raise NotAnOrderPAction("phi^p is not the identity")
         if self.gram is not None:
-            g = _freeze(self.gram)
-            object.__setattr__(self, "gram", g)
-            gl = [list(r) for r in g]
-            if la.mat_mul(la.mat_mul(la.transpose(mat), gl), mat) != gl:
+            object.__setattr__(self, "gram", _freeze(self.gram))
+            if _freeze(la.mat_mul(la.mat_mul(la.transpose(phi), self.gram), phi)) != self.gram:
                 raise FormNotPreserved("phi does not preserve the form")
 
     @property
     def rank(self) -> int:
         return len(self.phi)
 
-    def phi_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.phi]
-
     def tau(self) -> list[list[int]]:
         """phi - identity."""
-        m = self.phi_rows()
-        for i in range(len(m)):
-            m[i][i] -= 1
-        return m
+        return la.shift_diagonal(self.phi, -1)
 
     def sigma(self) -> list[list[int]]:
         """1 + phi + ... + phi^(p-1), by Horner's rule: s <- 1 + phi s, p - 1 times from s = 1."""
-        m = self.phi_rows()
         s = la.identity(self.rank)
         for _ in range(self.p - 1):
-            s = la.mat_mul(m, s)
+            s = la.mat_mul(self.phi, s)
             for i, row in enumerate(s):
                 row[i] += 1
         return s
@@ -216,11 +205,8 @@ def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
         raise GModuleError(f"Jordan blocks {blocks} do not add up to rank {n}")
     plus = minus = None
     if p == 2:
-        phi_plus = action.phi_rows()
-        for i, row in enumerate(phi_plus):
-            row[i] += 1
         ker_plus = n - la.rank_mod_p(tau, 3)
-        ker_minus = n - la.rank_mod_p(phi_plus, 3)
+        ker_minus = n - la.rank_mod_p(la.shift_diagonal(action.phi, 1), 3)
         plus = ker_plus - blocks[2]
         minus = ker_minus - blocks[2]
         if plus < 0 or minus < 0 or plus + minus != blocks[1]:
@@ -371,14 +357,14 @@ def k3_order5_action() -> PrimeOrderAction:
 
     u = ATOM_GRAMS["U"]
     a4_neg = rescale(ATOM_GRAMS["A4"], -1)
-    gram_m = [list(r) for r in direct_sum([u, rescale(u, 5), rescale(u, 5)] + [a4_neg] * 4)]
+    gram_m = direct_sum([u, rescale(u, 5), rescale(u, 5)] + [a4_neg] * 4)
 
     cox = la.identity(4)
     for i in range(4):
         refl = la.identity(4)
         refl[i] = [x - c for x, c in zip(refl[i], ATOM_GRAMS["A4"][i])]
         cox = la.mat_mul(refl, cox)
-    phi_m = [list(r) for r in direct_sum([la.identity(6)] + [cox] * 4)]
+    phi_m = direct_sum([la.identity(6)] + [cox] * 4)
 
     # 5 times the dual weight of A4 in root coordinates: 5 Cartan^-1 e_1
     weight5 = (4, 3, 2, 1)
@@ -401,7 +387,7 @@ def k3_order5_action() -> PrimeOrderAction:
         raise GModuleError("glue data does not close up integrally")
     if abs(la.det_bareiss(gram_l)) != 1 or any(gram_l[i][i] % 2 for i in range(22)):
         raise GModuleError("overlattice is not even unimodular")
-    return PrimeOrderAction(p=5, phi=_freeze(la.transpose(coords)), gram=_freeze(gram_l))
+    return PrimeOrderAction(p=5, phi=la.transpose(coords), gram=gram_l)
 
 
 # --- symmetric square -------------------------------------------------------
@@ -410,7 +396,7 @@ def k3_order5_action() -> PrimeOrderAction:
 def sym2_action(action: PrimeOrderAction) -> PrimeOrderAction:
     """Induced action on Sym^2 Z^n in the basis e_i.e_j, i <= j (row-major)."""
     n = action.rank
-    phi = action.phi_rows()
+    phi = action.phi
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {pair: k for k, pair in enumerate(pairs)}
     size = len(pairs)
@@ -465,19 +451,17 @@ def sym2_profile(profile: JordanProfile) -> JordanProfile:
 
 def conjugate(action: PrimeOrderAction, unimodular) -> PrimeOrderAction:
     """Change of basis: returns W^-1 phi W (gram transported if present)."""
-    w = [list(r) for r in unimodular]
     try:
-        winv = la.integer_coordinates(w, la.identity(len(w)))
+        winv = la.integer_coordinates(unimodular, la.identity(len(unimodular)))
     except ValueError:  # singular
         winv = None
     if winv is None:  # W^-1 is integral exactly when det W = +-1
         raise GModuleError("conjugating matrix must be unimodular")
-    phi = la.mat_mul(la.mat_mul(winv, action.phi_rows()), w)
+    phi = la.mat_mul(la.mat_mul(winv, action.phi), unimodular)
     gram = None
     if action.gram is not None:
-        wt = la.transpose(w)
-        gram = _freeze(la.mat_mul(la.mat_mul(wt, [list(r) for r in action.gram]), w))
-    return PrimeOrderAction(p=action.p, phi=_freeze(phi), gram=gram)
+        gram = la.mat_mul(la.mat_mul(la.transpose(unimodular), action.gram), unimodular)
+    return PrimeOrderAction(p=action.p, phi=phi, gram=gram)
 
 
 def zero_profile(p: int) -> JordanProfile:

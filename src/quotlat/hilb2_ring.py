@@ -34,7 +34,7 @@ from operator import mul
 from . import _linalg as la
 from ._record import record
 from .gmodule import _is_prime
-from .lattice_core import GramLattice
+from .lattice_core import GramLattice, _freeze
 
 FUJIKI_CONSTANT = 3
 DELTA_SQUARE = -2
@@ -88,9 +88,7 @@ class HilbertSquare:
     """
 
     def __init__(self, gram):
-        if isinstance(gram, GramLattice):
-            gram = [list(r) for r in gram.gram_rows()]
-        self.gram = [list(r) for r in gram]
+        self.gram = _freeze(gram.gram if isinstance(gram, GramLattice) else gram)
         self.n = len(self.gram)
         try:
             mu = la.integer_coordinates(self.gram, la.identity(self.n))

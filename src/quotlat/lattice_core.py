@@ -52,6 +52,11 @@ class ParseError(LatticeError):
         self.position = position
 
 
+# largest rank a lattice expression may spell; the largest lattice the
+# package builds, H^4 of K3^[2], has rank 276
+MAX_RANK = 512
+
+
 def _freeze(mat) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(int, row)) for row in mat)
 
@@ -90,9 +95,8 @@ class GramLattice:
     name: str | None = None
 
     def __post_init__(self):
-        rows = _freeze(self.gram)
-        object.__setattr__(self, "gram", rows)
-        if not la.is_symmetric([list(r) for r in rows]):
+        object.__setattr__(self, "gram", _freeze(self.gram))
+        if not la.is_symmetric(self.gram):
             raise LatticeError("Gram matrix must be square and symmetric")
 
     @property
@@ -101,10 +105,7 @@ class GramLattice:
 
     @property
     def determinant(self) -> int:
-        return la.det_bareiss([list(r) for r in self.gram])
-
-    def gram_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.gram]
+        return la.det_bareiss(self.gram)
 
 
 @record
@@ -115,11 +116,13 @@ class SublatticeEmbedding:
     basis_rows: tuple[tuple[int, ...], ...]
     index: int | None  # |det T| when T is square, else None
 
+    def __post_init__(self):
+        object.__setattr__(self, "basis_rows", _freeze(self.basis_rows))
+
     @property
     def lattice(self) -> GramLattice:
-        t = [list(r) for r in self.basis_rows]
-        g = la.mat_mul(la.mat_mul(t, self.ambient.gram_rows()), la.transpose(t))
-        return GramLattice(_freeze(g))
+        t = self.basis_rows
+        return GramLattice(la.mat_mul(la.mat_mul(t, self.ambient.gram), la.transpose(t)))
 
 
 def smith_normal_form(matrix) -> tuple[tuple, tuple, tuple]:
@@ -130,19 +133,19 @@ def smith_normal_form(matrix) -> tuple[tuple, tuple, tuple]:
     most half the pivot; D is unique, U and V are one choice among many.
     V^-1 is not computed.
     """
-    res = la.smith_normal_form([list(r) for r in matrix])
+    res = la.smith_normal_form(matrix)
     return _freeze(res.u), _freeze(res.d), _freeze(res.v)
 
 
 def discriminant_group(lattice: GramLattice) -> DiscriminantGroup:
-    return DiscriminantGroup(tuple(la.elementary_divisors(lattice.gram_rows())))
+    return DiscriminantGroup(tuple(la.elementary_divisors(lattice.gram)))
 
 
 def invariant_summary(lattice: GramLattice) -> LatticeInvariants:
     det = lattice.determinant
     if det == 0:
         raise DegenerateForm("Gram matrix is degenerate")
-    pos, neg, zero = la.signature_exact(lattice.gram_rows())
+    pos, neg, zero = la.signature_exact(lattice.gram)
     if zero:
         raise DegenerateForm(f"nonzero determinant but {zero} zero eigenvalues")
     return LatticeInvariants(
@@ -162,7 +165,7 @@ def dual_rescaled(lattice: GramLattice, p: int) -> GramLattice:
     """
     p_identity = [[p * x for x in row] for row in la.identity(lattice.rank)]
     try:
-        scaled = la.integer_coordinates(lattice.gram_rows(), p_identity)  # rows c_j G = p e_j
+        scaled = la.integer_coordinates(lattice.gram, p_identity)  # rows c_j G = p e_j
     except ValueError:
         raise DegenerateForm("Gram matrix is degenerate") from None
     group = discriminant_group(lattice)
@@ -172,12 +175,12 @@ def dual_rescaled(lattice: GramLattice, p: int) -> GramLattice:
         )
     if scaled is None:
         raise NonIntegralResult("p * G^-1 is not integral")
-    return GramLattice(_freeze(scaled))
+    return GramLattice(scaled)
 
 
 def sublattice(lattice: GramLattice, rows) -> SublatticeEmbedding:
     """Sublattice spanned by the given coordinate rows (must be independent)."""
-    t = [list(r) for r in rows]
+    t = list(rows)
     if not t:
         raise LatticeError("empty basis")
     if any(len(r) != lattice.rank for r in t):
@@ -185,9 +188,7 @@ def sublattice(lattice: GramLattice, rows) -> SublatticeEmbedding:
     if la.rank_rational(t) != len(t):
         raise LatticeError("basis rows are linearly dependent")
     index = abs(la.det_bareiss(t)) if len(t) == lattice.rank else None
-    return SublatticeEmbedding(
-        ambient=lattice, basis_rows=_freeze(t), index=index
-    )
+    return SublatticeEmbedding(ambient=lattice, basis_rows=t, index=index)
 
 
 def _p_power_log(value: int, p: int) -> int | None:
@@ -209,7 +210,7 @@ def overlattice_divide(lattice: GramLattice, vectors, p: int) -> GramLattice:
     classes, discr(out) * p^(2m) = discr(L), which is checked (IndexLawError).
     """
     n = lattice.rank
-    g = lattice.gram_rows()
+    g = lattice.gram
     vecs = [list(v) for v in vectors]
     for v in vecs:
         if len(v) != n:
@@ -239,7 +240,7 @@ def overlattice_divide(lattice: GramLattice, vectors, p: int) -> GramLattice:
     m = _p_power_log(idx_num // db, p)
     if m is None:
         raise IndexLawError("overlattice index is not a p-power")
-    out_lattice = GramLattice(_freeze(out))
+    out_lattice = GramLattice(out)
     if out_lattice.determinant * p ** (2 * m) != lattice.determinant:
         raise IndexLawError("discr(out) * p^(2m) differs from discr(L)")
     return out_lattice
@@ -328,16 +329,14 @@ def rescale(gram, m: int):
 
 
 def direct_sum(grams) -> tuple[tuple[int, ...], ...]:
-    blocks = [[list(r) for r in g] for g in grams]
+    blocks = list(grams)
     total = sum(len(b) for b in blocks)
     out = [[0] * total for _ in range(total)]
     off = 0
     for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                out[off + i][off + j] = b[i][j]
-        off += k
+        for i, row in enumerate(b):
+            out[off + i][off : off + len(b)] = row
+        off += len(b)
     return _freeze(out)
 
 
@@ -371,6 +370,8 @@ def parse_lattice_expr(text: str) -> GramLattice:
     Grammar: expr := term ('+' term)*; term := atom ('^' INT)?;
     atom := NAME ['(' INT ')'] | '(' INT ')'.  A bare '(n)' is the rank-1
     lattice <n>; a parenthesised integer after a name rescales the atom.
+    A term that takes the total rank above MAX_RANK raises ParseError at
+    its repetition count, or at its atom, before anything is expanded.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -420,27 +421,33 @@ def parse_lattice_expr(text: str) -> GramLattice:
             return ((n,),)
         raise ParseError(f"expected lattice atom, found {v!r}", pos)
 
+    rank = 0  # of the terms read so far, checked before any block is expanded
+
     def parse_term():
-        nonlocal idx
+        nonlocal idx, rank
+        pos = peek()[2]
         gram = parse_atom()
-        k, v, pos = peek()
+        power = 1
+        k, v, _ = peek()
         if k == "sym" and v == "^":
             idx += 1
-            kv, vpos = expect("int")
+            kv, pos = expect("int")
             power = int(kv)
             if power < 1:
-                raise ParseError("repetition count must be positive", vpos)
-            gram = direct_sum([gram] * power)
-        return gram
+                raise ParseError("repetition count must be positive", pos)
+        rank += len(gram) * power
+        if rank > MAX_RANK:
+            raise ParseError(f"rank {rank} is above {MAX_RANK}", pos)
+        return [gram] * power
 
-    blocks = [parse_term()]
+    blocks = parse_term()
     while True:
         k, v, pos = peek()
         if k is None:
             break
         if k == "sym" and v == "+":
             idx += 1
-            blocks.append(parse_term())
+            blocks += parse_term()
         else:
             raise ParseError(f"unexpected token {v!r}", pos)
     return GramLattice(direct_sum(blocks), name=text.strip())

@@ -25,6 +25,7 @@ from .lattice_core import (
     LatticeError,
     NotDefinite,
     NotInDual,
+    _freeze,
     _p_power_log,
     binary_reduce,
     discriminant_group,
@@ -74,23 +75,20 @@ class GlueSpec:
     divided: tuple[bool, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.transform)
-        object.__setattr__(self, "transform", rows)
+        object.__setattr__(self, "transform", _freeze(self.transform))
         object.__setattr__(self, "divided", tuple(bool(d) for d in self.divided))
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        n = len(self.transform)
+        if any(len(r) != n for r in self.transform):
             raise LatticeError("transform must be square")
         if len(self.divided) != n:
             raise LatticeError("one divided flag per transform row")
-        if la.det_bareiss([list(r) for r in rows]) == 0:
+        if la.det_bareiss(self.transform) == 0:
             raise LatticeError("transform is singular")
 
     @classmethod
     def identity(cls, n: int, divided=()) -> "GlueSpec":
         """Identity base change; divided lists the row indices to divide."""
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        flags = tuple(i in set(divided) for i in range(n))
-        return cls(rows, flags)
+        return cls(la.identity(n), tuple(i in set(divided) for i in range(n)))
 
     @property
     def rank(self) -> int:
@@ -161,17 +159,17 @@ def bb_quotient(lattice: GramLattice, p: int, glue: GlueSpec) -> QuotientResult:
     n = lattice.rank
     if glue.rank != n:
         raise LatticeError(f"glue is {glue.rank}x{glue.rank}, lattice rank {n}")
-    t = [list(r) for r in glue.transform]
+    t = glue.transform
     e = _p_power_log(abs(la.det_bareiss(t)), p)
     if e is None:
         raise LatticeError("transform index must be a power of p")
     m = sum(glue.divided) - e
     if m < 0:
         raise LatticeError("more p-power index in the transform than divided rows")
-    g = lattice.gram_rows()
+    g = lattice.gram
     for row, d in zip(t, glue.divided):
         if d and any(x % p for x in la.mat_mul([row], g)[0]):
-            raise GlueNotInDual(f"row {row} / {p} is not in the dual lattice")
+            raise GlueNotInDual(f"row {list(row)} / {p} is not in the dual lattice")
     gt = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
     q = [
         [Fraction(gt[i][j], p ** (glue.divided[i] + glue.divided[j])) for j in range(n)]
@@ -188,7 +186,7 @@ def bb_quotient(lattice: GramLattice, p: int, glue: GlueSpec) -> QuotientResult:
             out_row.append(int(y))
         out.append(out_row)
     return QuotientResult(
-        gram=GramLattice(tuple(tuple(r) for r in out)),
+        gram=GramLattice(out),
         fujiki_constant=c,
         scale=lam,
         index_log=m,
@@ -205,10 +203,9 @@ def find_glue(lattice: GramLattice, p: int) -> GlueSpec:
     if not _is_prime(p):
         raise LatticeError(f"{p} is not prime")
     n = lattice.rank
-    g = lattice.gram_rows()
-    stacked = la.left_kernel_mod_p(g, p) + [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    stacked = la.left_kernel_mod_p(lattice.gram, p) + [[p if i == j else 0 for j in range(n)] for i in range(n)]
     basis = la.row_span_basis(stacked)
-    return GlueSpec(tuple(tuple(r) for r in basis), (True,) * n)
+    return GlueSpec(basis, (True,) * n)
 
 
 @record
@@ -251,7 +248,7 @@ def _connected_blocks(gram) -> list[list[int]]:
 
 def _reduced_binary_blocks(lattice: GramLattice) -> list[tuple]:
     """Gauss-reduced forms of the definite rank-2 connected blocks."""
-    g = lattice.gram_rows()
+    g = lattice.gram
     out = []
     for comp in _connected_blocks(g):
         if len(comp) != 2:

@@ -30,9 +30,9 @@ from .gmodule import (
 )
 from .hilb2_ring import HilbertSquare, h2_primitivity_certificate, s_lattice_gram
 from .lattice_core import (
-    ATOM_GRAMS,
     GramLattice,
     LatticeError,
+    _freeze,
     direct_sum,
     dual_rescaled,
     parse_lattice_expr,
@@ -99,6 +99,10 @@ KINDS = {
 }
 _REQUIRED = object()  # the default of a field that must be present
 _ITEM_NAMES = {int: "an integer", str: "a string", dict: "an object"}
+_LATTICE_DEPTH = 16  # how deep block lists and duals may nest in one lattice
+# id(object) -> (object, its path, the keys the reader asked it for) while
+# scenario_from_record runs; any other key of a JSON object is unknown
+_ASKED: dict[int, tuple[dict, str, set]] = {}
 
 class SchemaError(ValueError):
     """A scenario record violates the schema; path points at the field."""
@@ -128,6 +132,10 @@ class Expected:
     verdicts: dict[int, str] = factory(dict)
     alpha: dict[int, tuple[int, int]] = factory(dict)
     witness: str | None = None
+
+    def __post_init__(self):
+        if self.quotient_exact_gram is not None:
+            object.__setattr__(self, "quotient_exact_gram", _freeze(self.quotient_exact_gram))
 
 
 @record
@@ -172,12 +180,14 @@ def _built(path, make, *args, message=None, **kwargs):
     one, what the error said."""
     try:
         return make(*args, **kwargs)
-    except (ValueError, LatticeError, GModuleError) as exc:
+    except (ValueError, LatticeError, GModuleError, RecursionError) as exc:
         raise SchemaError(path, message or str(exc)) from exc
 
 
 def _expect(record, key, path, types, default=_REQUIRED):
-    """record[key], of one of types (any type when None), or default when absent."""
+    """record[key], of one of types (any type when None), or default when
+    absent; key joins the keys asked of record."""
+    _ASKED.setdefault(id(record), (record, path, set()))[2].add(key)
     if key not in record:
         if default is _REQUIRED:
             raise SchemaError(f"{path}.{key}", "missing required field")
@@ -235,30 +245,35 @@ def _int_matrix(value, path):
             raise SchemaError(f"{path}[{i}]", "expected a list of integers")
     if any(len(row) != len(value) for row in value):
         raise SchemaError(path, "matrix must be square")
-    return tuple(map(tuple, value))
+    return value
 
 
-def _parse_lattice(value, path, name=""):
-    """Expression string, {"gram": rows}, {"dual": [spec, p]}, or a block list."""
+def _parse_lattice(value, path, name="", depth=0):
+    """Expression string, {"gram": rows}, {"dual": [spec, p]}, or a block
+    list; block lists and duals nest at most _LATTICE_DEPTH deep."""
+    if depth > _LATTICE_DEPTH:
+        raise SchemaError(path, f"lattice nested deeper than {_LATTICE_DEPTH}")
     if isinstance(value, str):
         return GramLattice(_built(path, parse_lattice_expr, value).gram, name=name or value)
     if isinstance(value, dict):
         if "gram" in value:
-            lattice = _built(f"{path}.gram", GramLattice, _int_matrix(value["gram"], f"{path}.gram"), name=name)
+            rows = _int_matrix(_expect(value, "gram", path, None), f"{path}.gram")
+            lattice = _built(f"{path}.gram", GramLattice, rows, name=name)
             if lattice.determinant == 0:
                 raise SchemaError(f"{path}.gram", "Gram matrix is degenerate")
             return lattice
         if "dual" in value:
-            spec = value["dual"]
+            spec = _expect(value, "dual", path, None)
             pair = isinstance(spec, list) and len(spec) == 2
             if not (pair and _is_int(spec[1]) and spec[1] in SUPPORTED_PRIMES):
                 raise SchemaError(f"{path}.dual", "expected [lattice, prime]")
-            return _built(f"{path}.dual", dual_rescaled, _parse_lattice(spec[0], f"{path}.dual[0]"), spec[1])
+            inner = _parse_lattice(spec[0], f"{path}.dual[0]", depth=depth + 1)
+            return _built(f"{path}.dual", dual_rescaled, inner, spec[1])
         raise SchemaError(path, "lattice object needs a 'gram' or 'dual' key")
     if value == []:
         raise SchemaError(path, "expected a nonempty list of blocks")
     if isinstance(value, list):
-        blocks = [_parse_lattice(item, f"{path}[{i}]").gram_rows() for i, item in enumerate(value)]
+        blocks = [_parse_lattice(item, f"{path}[{i}]", depth=depth + 1).gram for i, item in enumerate(value)]
         return GramLattice(direct_sum(blocks), name=name)
     raise SchemaError(path, f"cannot read a lattice from {type(value).__name__}")
 
@@ -371,6 +386,23 @@ def _parse_expected(value, path, name, kind, top):
 
 
 def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
+    """The scenario a JSON record describes.  A key that the reader never
+    asks for is a SchemaError at its path, so a misspelled field cannot
+    turn its check off unseen."""
+    _ASKED.clear()
+    try:
+        scenario = _read_scenario(record, path)
+        for obj, opath, asked in _ASKED.values():
+            for key in obj:
+                if key not in asked:
+                    raise SchemaError(f"{opath}.{key}", "unknown key")
+    finally:
+        _ASKED.clear()
+    _check_consistency(scenario)
+    return scenario
+
+
+def _read_scenario(record, path) -> Scenario:
     if not isinstance(record, dict):
         raise SchemaError(path, f"expected an object, got {type(record).__name__}")
     name = _expect(record, "name", path, str)
@@ -380,7 +412,7 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
     declared = _expect(record, "complex_dimension", path, int)
     if declared != dim:
         raise SchemaError(f"{path}.complex_dimension", f"expected {dim} for kind {kind!r}, got {declared}")
-    scenario = Scenario(
+    return Scenario(
         name=name,
         kind=kind,
         prime=p,
@@ -397,8 +429,6 @@ def scenario_from_record(record: dict, path: str = "scenario") -> Scenario:
         glue=_optional(record, "glue", path, None, _parse_glue),
         expected=_parse_expected(_expect(record, "expected", path, dict, {}), f"{path}.expected", name, kind, 2 * dim),
     )
-    _check_consistency(scenario)
-    return scenario
 
 
 def _check_consistency(s: Scenario) -> None:
@@ -482,9 +512,7 @@ def _route_s_lattice(s: Scenario, k: int, reports: dict[int, NormalityReport]) -
     # a fixed model of the ring suffices: the pairing table of
     # (delta^2, u1.u2, sigma, u1^2, u2^2, u1.delta, u2.delta) is the same
     # for every invariantly split U + (-2) inside an S^[2]-type H^2
-    u = ATOM_GRAMS["U"]
-    e8m = tuple(tuple(-x for x in row) for row in ATOM_GRAMS["E8"])
-    hilb = HilbertSquare(direct_sum([u, u, u, e8m, e8m]))
+    hilb = HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2"))
     gram = s_lattice_gram(hilb, hilb.gamma(0), hilb.gamma(1))
     ok, bad = h2_primitivity_certificate(gram, s.prime)
     hyps = (

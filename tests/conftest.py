@@ -30,7 +30,7 @@ def by_name(catalog):
 
 @pytest.fixture(scope="session")
 def hilb():
-    return HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2").gram_rows())
+    return HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2").gram)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -172,13 +172,15 @@ def test_bad_matrix_file(tmp_path, capsys):
         ([[]], "nonempty"),
         ([[1, 2], [True, 4]], "lists of integers"),
         ([[False]], "lists of integers"),
+        # JSON text nested past the recursion limit
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
     ],
-    ids=["short-row", "long-row", "empty-row", "bool-entry", "bool-only"],
+    ids=["short-row", "long-row", "empty-row", "bool-entry", "bool-only", "nested-too-deep"],
 )
 @pytest.mark.parametrize("command", ["snf", "jordan", "lattice", "hilb2"])
 def test_matrix_file_shapes_exit_2(tmp_path, capsys, rows, message, command):
     f = tmp_path / "m.json"
-    f.write_text(json.dumps(rows))
+    f.write_text(rows if isinstance(rows, str) else json.dumps(rows))
     argv = {
         "snf": ["snf", str(f)],
         "jordan": ["jordan", "--matrix", str(f), "--prime", "3"],

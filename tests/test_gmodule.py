@@ -31,6 +31,7 @@ from quotlat import (
 )
 from quotlat.gmodule import (
     SUPPORTED_PRIMES,
+    FormNotPreserved,
     GModuleError,
     HypothesesNotMet,
     NotAnOrderPAction,
@@ -113,7 +114,7 @@ def test_p2_eigensplit_over_f3_matches_ranks_over_q(counts, seed, conjugated):
         act = conjugate(act, oracles.random_unimodular(Random(seed), act.rank))
     n, jp = act.rank, jordan_profile(act)
     minus_one = act.tau()
-    plus_one = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(act.phi_rows())]
+    plus_one = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(act.phi)]
     assert jp.plus_rank == n - oracles.rank_rational(minus_one) - jp.blocks[2]
     assert jp.minus_rank == n - oracles.rank_rational(plus_one) - jp.blocks[2]
     assert la.rank_mod_p(minus_one, 3) + la.rank_mod_p(plus_one, 3) == n
@@ -152,7 +153,7 @@ def test_companion_cyclotomic_has_order_p():
 def test_sigma_by_horner_matches_the_sum_of_powers(monkeypatch):
     rng = Random(7)
     act = conjugate(reiner_action(5, (1, 1, 1)), oracles.random_unimodular(rng, 10))
-    phi = act.phi_rows()
+    phi = act.phi
     want = la.identity(act.rank)
     power = la.identity(act.rank)
     for _ in range(act.p - 1):
@@ -206,7 +207,7 @@ def test_order_check_matches_dense_powers(p, seed):
     """Accepted exactly when p dense products give the identity."""
     rng = Random(seed)
     act = reiner_action(p, random_counts(rng, p, max_rank=p + 3))
-    phi = conjugate(act, oracles.random_unimodular(rng, act.rank, steps=4)).phi_rows()
+    phi = [list(r) for r in conjugate(act, oracles.random_unimodular(rng, act.rank, steps=4)).phi]
     if seed % 3:
         # a unit entry added to an order-p matrix usually breaks the order
         i, j = rng.randrange(len(phi)), rng.randrange(len(phi))
@@ -285,6 +286,19 @@ def test_a_invariant_raises_on_index_outside_p_powers(monkeypatch):
         a_invariant(act)
 
 
+def test_form_check_freezes_its_product_before_comparing_with_a_tuple_gram():
+    """phi^T G phi comes back as lists and a list never equals a tuple, so the
+    product is frozen first: a tuple Gram phi keeps is accepted, one it
+    breaks raises FormNotPreserved."""
+    swap = ((0, 1), (1, 0))
+    kept = PrimeOrderAction(2, swap, gram=((2, 1), (1, 2)))
+    assert kept.gram == ((2, 1), (1, 2))
+    with pytest.raises(FormNotPreserved):
+        PrimeOrderAction(2, swap, gram=((2, 1), (1, 4)))
+    with pytest.raises(FormNotPreserved):
+        PrimeOrderAction(2, [list(r) for r in swap], gram=((2, 1), (1, 4)))
+
+
 # ---------------------------------------------------------------- sym2
 
 
@@ -293,8 +307,8 @@ def test_sym2_action_matches_direct_expansion():
     for p in (3, 5, 7):
         act = reiner_action(p, random_counts(rng, p, max_rank=8))
         act = conjugate(act, oracles.random_unimodular(rng, act.rank, steps=6))
-        phi = act.phi_rows()
-        assert sym2_action(act).phi_rows() == oracles.sym2_matrix(phi, len(phi))
+        phi = act.phi
+        assert sym2_action(act).phi == tuple(map(tuple, oracles.sym2_matrix(phi, len(phi))))
 
 
 def test_sym2_action_freezes_phi_once_to_plain_ints(monkeypatch):
@@ -307,7 +321,7 @@ def test_sym2_action_freezes_phi_once_to_plain_ints(monkeypatch):
     assert len(freezes) == 1
     assert type(square.phi) is tuple
     assert all(type(row) is tuple and all(type(x) is int for x in row) for row in square.phi)
-    frozen = tuple(map(tuple, oracles.sym2_matrix(act.phi_rows(), act.rank)))
+    frozen = tuple(map(tuple, oracles.sym2_matrix(act.phi, act.rank)))
     again = PrimeOrderAction(3, frozen)
     assert again == square and hash(again) == hash(square)
     flags = PrimeOrderAction(2, [[0, True], [1, 0]])

@@ -143,7 +143,7 @@ def test_h4_gram_is_unimodular(hilb):
 
 @pytest.mark.parametrize("expr", ["U", "U^3", "U + E8(-1)"])
 def test_h4_gram_matches_fraction_oracle(expr):
-    small = HilbertSquare(parse_lattice_expr(expr).gram_rows())
+    small = HilbertSquare(parse_lattice_expr(expr).gram)
     assert small.h4_gram() == oracles.fraction_h4_gram(small)
 
 
@@ -241,7 +241,7 @@ def test_s_lattice_gram_frozen(hilb):
 
 
 def test_s_lattice_gram_builds_no_h4_gram():
-    fresh = HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2").gram_rows())
+    fresh = HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2").gram)
     s = s_lattice_gram(fresh, fresh.gamma(0), fresh.gamma(1))
     assert tuple(tuple(row) for row in s) == S_GRAM
     assert fresh._h4_gram_cache is None
@@ -273,4 +273,4 @@ def test_primitivity_certificate_rejects_a_non_prime(p):
 
 def test_hilbert_square_rejects_odd_rank_input():
     with pytest.raises(Exception):
-        HilbertSquare(parse_lattice_expr("A2").gram_rows() + [[1]])
+        HilbertSquare([*parse_lattice_expr("A2").gram, [1]])

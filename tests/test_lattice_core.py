@@ -11,6 +11,7 @@ import oracles
 from quotlat import (
     ATOM_GRAMS,
     GramLattice,
+    HilbertSquare,
     binary_reduce,
     direct_sum,
     discriminant_group,
@@ -24,6 +25,7 @@ from quotlat import (
 )
 from quotlat import _linalg as la
 from quotlat.lattice_core import (
+    MAX_RANK,
     DegenerateForm,
     IndexLawError,
     LatticeError,
@@ -52,7 +54,7 @@ def test_atom_table():
         assert lat.rank == rank
         assert lat.determinant == det
         assert invariant_summary(lat).signature == sig
-        assert oracles.det(lat.gram_rows()) == det
+        assert oracles.det(lat.gram) == det
 
 
 def test_atom_grams_frozen():
@@ -69,7 +71,7 @@ def test_parse_k3_lattice():
     assert lat.determinant == -1
     inv = invariant_summary(lat)
     assert inv.signature == (3, 19)
-    assert oracles.signature(lat.gram_rows()) == (3, 0, 19)
+    assert oracles.signature(lat.gram) == (3, 0, 19)
 
 
 def test_parse_rescale_and_integers():
@@ -89,6 +91,20 @@ def test_parse_errors_carry_positions(text, position):
     with pytest.raises(ParseError) as exc:
         parse_lattice_expr(text)
     assert exc.value.position == position
+
+
+def test_rank_above_the_bound_is_a_parse_error_before_expansion():
+    """The bound sits above the largest lattice the package builds, H^4 of
+    K3^[2]; a term that crosses it fails at its count or at its atom."""
+    assert MAX_RANK > HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2")).h4_rank
+    assert parse_lattice_expr(f"U^{MAX_RANK // 2}").rank == MAX_RANK
+    with pytest.raises(ParseError) as exc:
+        parse_lattice_expr(f"U^{MAX_RANK // 2 + 1}")
+    assert str(exc.value) == f"rank {MAX_RANK + 2} is above {MAX_RANK} (at position 2)"
+    text = " + ".join(["U"] * (MAX_RANK // 2) + ["(1)"])
+    with pytest.raises(ParseError) as exc:
+        parse_lattice_expr(text)
+    assert exc.value.position == len(text) - 3
 
 
 def test_gram_must_be_symmetric():
@@ -146,7 +162,7 @@ def test_dual_rescaled_e6():
     lat = parse_lattice_expr("E6")
     dual = dual_rescaled(lat, 3)
     assert dual.determinant == 3**5
-    assert oracles.det(dual.gram_rows()) == 3**5
+    assert oracles.det(dual.gram) == 3**5
 
 
 @pytest.mark.parametrize("expr, p", [("E6", 3), ("U(3)", 3), ("E8(-2)", 2), ("A4", 5)])
@@ -166,7 +182,7 @@ def test_overlattice_divide_hand_example():
     lat = GramLattice(((4, 0), (0, 4)))
     out = overlattice_divide(lat, [(1, 1)], 2)
     assert out.determinant == 4
-    assert oracles.snf_divisors(out.gram_rows()) == [2, 2]
+    assert oracles.snf_divisors(out.gram) == [2, 2]
 
 
 def test_overlattice_divide_rejects_vectors_outside_dual():

@@ -1,6 +1,7 @@
 """The exact linear algebra core against sympy and the former library routines."""
 
 import hashlib
+import inspect
 import json
 import shlex
 from fractions import Fraction
@@ -494,3 +495,92 @@ def test_group_cohomology_and_a_invariant_are_pinned():
                 groups = [group_cohomology(action, i) for i in range(3)]
                 results.append((p, (t, c, g), groups, a_invariant(action)))
     assert _digest(results) == "08739f8f0f153aacac9cb0e95be76e14476f62b8351148f6cb0cc11f03d7f9e4"
+
+
+# -- the matrix contract: tuple rows read as list rows, no argument written --
+
+# every public function of _linalg that reads a matrix, on a square matrix m
+# and a symmetric one s; a dict holds the results of several calls
+CONTRACT_CALLS = {
+    "transpose": lambda m, s: la.transpose(m),
+    "mat_mul": lambda m, s: {"ms": la.mat_mul(m, s), "mm": la.mat_mul(m, m)},
+    "is_symmetric": lambda m, s: {"m": la.is_symmetric(m), "s": la.is_symmetric(s)},
+    "shift_diagonal": lambda m, s: la.shift_diagonal(m, -1),
+    "mat_pow": lambda m, s: {1: la.mat_pow(m, 1), 3: la.mat_pow(m, 3)},
+    "echelon_mod_p": lambda m, s: la.echelon_mod_p(m, 3),
+    "rank_mod_p": lambda m, s: la.rank_mod_p(m, 5),
+    "image_ranks_mod_p": lambda m, s: la.image_ranks_mod_p(m, 3, 4),
+    "left_kernel_mod_p": lambda m, s: la.left_kernel_mod_p(s, 2),
+    "echelon_fraction_free": lambda m, s: la.echelon_fraction_free(m),
+    "det_bareiss": lambda m, s: la.det_bareiss(m),
+    "rank_rational": lambda m, s: la.rank_rational(m),
+    "solve_in_rowspan": lambda m, s: la.solve_in_rowspan(m, s[0]),
+    "integer_coordinates": lambda m, s: la.integer_coordinates(m, s),
+    "smith_normal_form": lambda m, s: la.smith_normal_form(m),
+    "elementary_divisors": lambda m, s: la.elementary_divisors(m),
+    "kernel_basis": lambda m, s: la.kernel_basis(m),
+    "image_basis": lambda m, s: la.image_basis(m),
+    "row_span_basis": lambda m, s: la.row_span_basis(m),
+    "charpoly": lambda m, s: la.charpoly(m),
+    "signature_exact": lambda m, s: {"s": la.signature_exact(s), "m": _outcome(la.signature_exact, m)},
+}
+
+
+def _outcome(call, *args):
+    """call(*args), or the error it raised, so that errors compare too."""
+    try:
+        return call(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return repr(exc)
+
+
+def _parts(value):
+    """value and everything inside it, through lists, tuples, dict values and
+    SNFResult."""
+    if isinstance(value, la.SNFResult):
+        value = (value.u, value.d, value.v)
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _parts(item)
+        return
+    yield value
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _parts(item)
+
+
+def _is_matrix(value) -> bool:
+    """A sequence of integer rows."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in value
+    )
+
+
+def test_contract_calls_cover_every_public_function():
+    public = {
+        name
+        for name, f in vars(la).items()
+        if inspect.isfunction(f) and f.__module__ == la.__name__ and not name.startswith("_")
+    }
+    assert public - {"zeros", "identity"} == set(CONTRACT_CALLS)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_tuple_rows_give_what_list_rows_give_and_no_argument_is_written(seed):
+    """The module contract: any sequence of integer rows is read alike, no
+    argument is written into, and every matrix returned is fresh lists."""
+    rng = Random(seed)
+    n = rng.randint(1, 5)
+    m = [[rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+    s = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    for name, call in CONTRACT_CALLS.items():
+        lists = ([list(r) for r in m], [list(r) for r in s])
+        got = _outcome(call, *lists)
+        assert got == _outcome(call, tuple(map(tuple, m)), tuple(map(tuple, s))), name
+        assert lists == (m, s), name
+        parts = list(_parts(got))
+        given_ids = {id(x) for a in lists for x in (a, *a)}
+        assert not given_ids & {id(x) for x in parts if isinstance(x, list)}, name
+        matrices = [x for x in parts if _is_matrix(x)]
+        assert all(type(x) is list and all(type(r) is list for r in x) for x in matrices), name

@@ -49,7 +49,7 @@ def _exercise():
     catalog_verify()
     for action in (reiner_action(3, (1, 1, 1)), reiner_action(5, (2, 0, 1))):
         group_cohomology(action, 1)
-    hilb = HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2").gram_rows())
+    hilb = HilbertSquare(parse_lattice_expr("U^3 + E8(-1)^2").gram)
     hilb.cup(hilb.gamma(0), hilb.delta)
     hilb.cup(hilb.gamma(1), hilb.gamma(2))
     for expr in ("U + A2", "E8(-1)"):

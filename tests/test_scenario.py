@@ -332,6 +332,8 @@ MORE_MALFORMED = [
     ("08-Z11.json", "expected.verdicts.5", _set("expected.verdicts", {"5": "Normal"}), "degree out of range 1..4"),
     ("08-Z11.json", "cohomology.degrees.3", _set("cohomology.degrees", {"3": {}}), "degree out of range 1..2"),
     ("08-Z11.json", "routes.02", _set("routes", {"2": "surface", "02": "declared"}), "write degree 2 as '2'"),
+    # a misspelled optional field would drop its check silently
+    ("08-Z11.json", "expected.fixcount", _rekey("expected", "fix_count", "fixcount"), "unknown key"),
 ]
 
 
@@ -346,7 +348,11 @@ def test_more_malformed_records_name_the_field(tmp_path, capsys, name, field, mu
     _assert_names_the_field(tmp_path, capsys, rec, field, message)
 
 
-@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"\x80{}", b"{"], ids=["bom", "not-utf8", "truncated"])
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", b"\x80{}", b"{", b"[" * 100000 + b"]" * 100000],
+    ids=["bom", "not-utf8", "truncated", "nested-too-deep"],
+)
 def test_undecodable_file_is_a_schema_error_at_the_file(tmp_path, capsys, data):
     target = tmp_path / "broken.json"
     target.write_bytes(data)
@@ -356,6 +362,35 @@ def test_undecodable_file_is_a_schema_error_at_the_file(tmp_path, capsys, data):
     assert main(["normality", str(target)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {target}: ") and err.count("\n") == 1
+
+
+def _nested(spec, wrap, depth):
+    for _ in range(depth):
+        spec = wrap(spec)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "lattice, field",
+    [
+        (_nested("U(11)", lambda x: [x], 500), "[0]" * 17),
+        (_nested("U(11)", lambda x: {"dual": [x, 11]}, 100), ".dual[0]" * 17),
+    ],
+    ids=["block-lists", "duals"],
+)
+def test_lattice_nested_too_deep_is_a_schema_error_at_its_path(tmp_path, capsys, lattice, field):
+    """Block lists and duals nest at most 16 deep; the 17th level is the error,
+    read before any lattice is built."""
+    rec = minimal_record()
+    rec["invariant_lattice"] = lattice
+    with pytest.raises(SchemaError) as exc:
+        scenario_from_record(rec)
+    assert str(exc.value) == f"scenario.invariant_lattice{field}: lattice nested deeper than 16"
+    target = tmp_path / "nested.json"
+    target.write_text(json.dumps(rec))
+    assert main(["quotient", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: nested.invariant_lattice{field}: lattice nested deeper than 16\n"
 
 
 @pytest.mark.parametrize(
@@ -493,9 +528,9 @@ NODE_PATHS = [list(_node_paths(rec)) for rec in RECORDS]
 
 @st.composite
 def mutated_records(draw):
-    """A catalog record with one node deleted, replaced by a value of another
-    shape (a list one entry shorter or longer among them), or given an
-    unknown key."""
+    """(record, added): a catalog record with one node deleted, replaced by a
+    value of another shape (a list one entry shorter or longer among them),
+    or given an unknown key (then added is True)."""
     i = draw(st.integers(0, len(RECORDS) - 1))
     path = draw(st.sampled_from(NODE_PATHS[i]))
     rec = copy.deepcopy(RECORDS[i])
@@ -513,9 +548,9 @@ def mutated_records(draw):
         values = REPLACEMENTS + ([node[:-1], node + node[-1:]] if isinstance(node, list) and node else [])
         value = draw(st.sampled_from(values))
         if not path:
-            return value
+            return value, False
         parent[path[-1]] = value
-    return rec
+    return rec, action == "add"
 
 
 @pytest.fixture(scope="module")
@@ -525,14 +560,18 @@ def fuzz_file(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_records(), st.integers(0, 14))
-def test_mutated_records_load_or_raise_a_record_error(fuzz_file, rec, sample):
-    """The reader only succeeds or raises SchemaError or ConsistencyError, and
-    one example in 15 also runs `normality` and `quotient`: exit 0 or 1, or
-    exit 2 with one error line and nothing on stdout."""
+def test_mutated_records_load_or_raise_a_record_error(fuzz_file, mutation, sample):
+    """The reader only succeeds or raises SchemaError or ConsistencyError, an
+    unknown key always raises SchemaError at that key, and one example in 15
+    also runs `normality` and `quotient`: exit 0 or 1, or exit 2 with one
+    error line and nothing on stdout."""
+    rec, added = mutation
     try:
         scenario_from_record(rec)
-    except (SchemaError, ConsistencyError):
-        pass
+    except (SchemaError, ConsistencyError) as exc:
+        assert not added or isinstance(exc, SchemaError) and exc.path.endswith(".unknown_key")
+    else:
+        assert not added
     if sample:
         return
     fuzz_file.write_text(json.dumps(rec))
