@@ -8,15 +8,20 @@ point.  Callers pass record fields straight in.
 Matrix products have one kernel, ``mat_mul``: Kronecker
 substitution packs each row of the right factor into one int, so a row of
 the product is one sum of big-integer multiples that skips zero entries,
-and sparse and dense operands take the same route.  ``mat_pow``,
-``charpoly`` and the F_p image chain of ``image_ranks_mod_p`` multiply
-through it.
+and sparse and dense operands take the same route.  Slots are 1, 2, 4 or
+8 bytes wide, as narrow as the entry bound allows, and read through
+``array``; wider bounds take wider slots read one by one.  ``mat_pow``
+and ``charpoly`` multiply through it.
 Elimination over Q has one fraction-free core, ``echelon_fraction_free``;
 ``det_bareiss``, ``rank_rational``, ``solve_in_rowspan`` and
 ``integer_coordinates`` wrap it, and ``integer_coordinates`` is the one
 route to an integral solve (an integral inverse is the coordinates of I).
-Elimination over F_p has one core, ``echelon_mod_p``, behind
-``rank_mod_p``, ``image_ranks_mod_p`` and ``left_kernel_mod_p``;
+Elimination over F_p has one core, ``_echelon_packed``: rows are packed
+ints with nonnegative slots reduced mod p lazily, and each new basis row
+is added to every later row in one big-integer multiply-add.
+``echelon_mod_p``, ``rank_mod_p`` and ``left_kernel_mod_p`` pack their
+rows into it, and the image chain of ``image_ranks_mod_p`` hands it its
+packed products without unpacking them;
 ``rank_mod_p`` at 3 gives the +-1 eigenlattice ranks of an involution,
 which equal its ranks over Q (the proof is in ``gmodule.jordan_profile``).
 The Smith normal form keeps the transforms U and V: kernels are read off
@@ -31,7 +36,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import lcm
 from operator import mul
 
@@ -40,7 +45,9 @@ from ._record import record
 
 Matrix = list[list[int]]
 
-_BIG_ENDIAN = sys.byteorder == "big"  # array('q') reads native-endian bytes
+_BIG_ENDIAN = sys.byteorder == "big"  # array reads native-endian bytes
+# slot width in bytes -> the array typecode that reads it
+_CODES = {array(code).itemsize: code for code in "bhiq"}
 
 
 def zeros(m: int, n: int) -> Matrix:
@@ -65,10 +72,12 @@ def _max_abs(a) -> int:
 def _slots(bound: int, n: int) -> tuple[int, int]:
     """(size, mask) of n signed slots for integers of absolute value <= bound.
 
-    size is the slot width in bytes, at least 8 and with 2^(8 size - 1) >
-    bound; mask has the top bit of every slot set.
+    size is the slot width in bytes: the least power of two up to 8 with
+    2^(8 size - 1) > bound (so ``array`` reads it), else the least width
+    with that; mask has the top bit of every slot set.
     """
-    size = max(8, bound.bit_length() // 8 + 1)
+    bits = bound.bit_length()
+    size = 1 << (bits // 8).bit_length() if bits < 64 else bits // 8 + 1
     return size, int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
 
 
@@ -77,15 +86,32 @@ def _pack(row, size: int, mask: int) -> int:
 
     The bytes hold each entry in two's complement; flipping the top bit of
     every slot (xor mask) adds 2^(8 size - 1) to each, and subtracting mask
-    removes that again without borrows between slots.
+    removes that again without borrows between slots.  Rows of entries in
+    [0, 2^(8 size - 1)) pack with mask 0.
     """
-    if size == 8:
-        raw = array("q", row)
+    code = _CODES.get(size)
+    if code:
+        raw = array(code, row)
         if _BIG_ENDIAN:
             raw.byteswap()
     else:
         raw = b"".join([x.to_bytes(size, "little", signed=True) for x in row])
     return (int.from_bytes(raw, "little") ^ mask) - mask
+
+
+def _unpack(t: int, size: int, n: int) -> list[int]:
+    """The n slots of a packed row whose slots are in two's complement: through
+    ``array`` for 1-, 2-, 4- and 8-byte slots, by ``int.from_bytes`` per slot
+    for wider ones."""
+    width = size * n
+    raw = t.to_bytes(width, "little")
+    code = _CODES.get(size)
+    if code:
+        entries = array(code, raw)
+        if _BIG_ENDIAN:
+            entries.byteswap()
+        return entries.tolist()
+    return [int.from_bytes(raw[i:i + size], "little", signed=True) for i in range(0, width, size)]
 
 
 def _packed_product(a, packed, size: int, mask: int, n: int) -> Matrix:
@@ -94,25 +120,14 @@ def _packed_product(a, packed, size: int, mask: int, n: int) -> Matrix:
     Row i of the product is the one int sum_k a[i][k] * packed[k], which
     skips the zero entries of a.  Starting that sum from mask makes every
     slot nonnegative (no borrows between slots) and xor mask puts each
-    back in two's complement, so the row is read off its bytes: through
-    ``array('q')`` for 8-byte slots, by ``int.from_bytes`` per slot for
-    wider ones.  Rows are read one at a time, because joining a whole
+    back in two's complement, so the row is read off its bytes
+    (``_unpack``).  Rows are read one at a time, because joining a whole
     product into one byte string raised the peak RSS.
     """
-    width = size * n
-    out = []
-    for row in a:
-        t = sum(map(mul, compress(row, row), compress(packed, row)), mask) ^ mask
-        raw = t.to_bytes(width, "little")
-        if size == 8:
-            entries = array("q", raw)
-            if _BIG_ENDIAN:
-                entries.byteswap()
-            out.append(entries.tolist())
-        else:
-            slots = range(0, width, size)
-            out.append([int.from_bytes(raw[i:i + size], "little", signed=True) for i in slots])
-    return out
+    return [
+        _unpack(sum(map(mul, compress(row, row), compress(packed, row)), mask) ^ mask, size, n)
+        for row in a
+    ]
 
 
 def mat_mul(a, b) -> Matrix:
@@ -163,37 +178,64 @@ def mat_pow(a, e: int) -> Matrix:
     return result
 
 
-def echelon_mod_p(a, p: int) -> list[list[int]]:
-    """Echelon basis of the F_p row space of an integer matrix.
+def _echelon_packed(rows: list[int], p: int, size: int, n: int) -> list[list[int]]:
+    """Echelon basis over F_p of packed rows of n nonnegative slots of size bytes.
 
-    Rows are taken one at a time and reduced against the basis rows found
-    so far, in the order they were found.  Each basis row has entries in
-    [0, p), a leading 1 at its pivot column, and zeros at the pivot
-    columns of the basis rows before it.  Zero coefficients are skipped
-    and basis rows are applied through their nonzero entries only, so
-    sparse input costs little more than its nonzeros.
+    Pivot-major: row i is unpacked and reduced mod p only when its turn
+    comes; if it gives a basis row b with lead L, every later row whose
+    slot L is c != 0 mod p gets (p - c) * b as one big-integer
+    multiply-add.  Slots are reduced mod p only when a row is unpacked, so
+    they grow: b has entries in [0, p), so each basis row adds at most
+    (p - 1)^2, and there are at most n basis rows.  A slot that starts at
+    most s thus stays at most s + n (p - 1)^2, which the caller keeps
+    below 2^(8 size - 1) (``_slots``).  ``rows`` is rewritten.
     """
-    basis: list[tuple[int, list[int], list[tuple[int, int]]]] = []
-    width = len(a[0]) if a else 0
-    for row in a:
-        if len(basis) == width:
+    bits = 8 * size
+    slot = (1 << bits) - 1
+    basis = []
+    for i, t in enumerate(rows):
+        if len(basis) == n:
             break
-        row = list(row)
-        for col, _, nonzeros in basis:
-            c = row[col] % p
-            if c:
-                c = p - c
-                for j, x in nonzeros:
-                    row[j] += c * x
-        row = [x % p for x in row]
-        lead = next((j for j, x in enumerate(row) if x), None)
+        if not t:
+            continue
+        row = _unpack(t, size, n)
+        if max(row) >= p:
+            row = [x % p for x in row]
+        lead = next(compress(count(), row), None)
         if lead is None:
             continue
         inv = pow(row[lead], -1, p)
         if inv != 1:
             row = [x * inv % p for x in row]
-        basis.append((lead, row, [(j, x) for j, x in enumerate(row) if x]))
-    return [prow for _, prow, _ in basis]
+        basis.append(row)
+        b = _pack(row, size, 0)
+        shift = bits * lead
+        rows[i + 1:] = [
+            t + (p - c) * b if (c := (t >> shift & slot) % p) else t for t in rows[i + 1:]
+        ]
+    return basis
+
+
+def echelon_mod_p(a, p: int) -> list[list[int]]:
+    """Echelon basis of the F_p row space of an integer matrix.
+
+    Each basis row has entries in [0, p), a leading 1 at its pivot column,
+    and zeros at the pivot columns of the basis rows before it.  The rows
+    are those of the row-by-row loop: each row in turn is reduced against
+    the basis rows found so far, in the order they were found, adding
+    p - c times basis row t for its entry c mod p at t's pivot.
+    ``_echelon_packed`` adds basis row t to every later row as soon as t
+    is found, and at that moment each later row has received exactly
+    basis rows 1 .. t - 1 (all found on earlier rows), so its c is the
+    same.  Every row thus receives the same basis rows in the same order
+    with the same coefficients, its slots equal the loop's entries mod p,
+    and the rows returned are identical.  Entries are packed mod p into
+    slots for p + width (p - 1)^2 (``_echelon_packed``'s bound).
+    """
+    width = len(a[0]) if a else 0
+    size = _slots(p + width * (p - 1) ** 2, width)[0]
+    rows = [_pack([x % p for x in row], size, 0) if any(row) else 0 for row in a]
+    return _echelon_packed(rows, p, size, width)
 
 
 def rank_mod_p(a, p: int) -> int:
@@ -206,23 +248,25 @@ def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
 
     No power of A is formed: rowspace(A^j) = rowspace(A^(j-1)) * A, so each
     step multiplies the echelon basis of the previous image by A mod p
-    and echelonises the products.  The products are ``mat_mul``'s packed
-    product with A mod p packed once: the basis and A mod p both have
-    entries in [0, p), so n (p - 1)^2 bounds every product entry.  Once
-    the rank reaches 0 the remaining entries are 0.
+    and echelonises the products.  A mod p is packed once, and each
+    product row is the packed sum of its rows times the basis row's
+    nonzero entries, handed to ``_echelon_packed`` as it is: no row is
+    unpacked between product and echelon.  Basis and A mod p have entries
+    in [0, p), so a product slot is at most n (p - 1)^2 and the echelon
+    adds at most n (p - 1)^2 more; the slots are sized for
+    2 n (p - 1)^2 + p.  Once the rank reaches 0 the remaining entries are 0.
     """
     n = len(a)
-    m = [[x % p for x in row] for row in a]
-    size, mask = _slots(n * (p - 1) ** 2, n)
-    packed = [_pack(row, size, mask) for row in m]
+    size = _slots(2 * n * (p - 1) ** 2 + p, n)[0]
+    packed = [_pack([x % p for x in row], size, 0) for row in a]
     ranks = [n]
-    products = m
+    products = list(packed)
     while len(ranks) <= steps:
-        image = echelon_mod_p(products, p)
+        image = _echelon_packed(products, p, size, n)
         ranks.append(len(image))
         if not image:
             break
-        products = _packed_product(image, packed, size, mask, n)
+        products = [sum(map(mul, compress(v, v), compress(packed, v))) for v in image]
     return ranks + [0] * (steps + 1 - len(ranks))
 
 

@@ -70,7 +70,11 @@ def _read_matrix(path: str) -> list[list[int]]:
 
 def _read_lattice(token: str) -> GramLattice:
     """A lattice expression, or a path to a JSON Gram matrix."""
-    if token.endswith(".json") or Path(token).exists():
+    try:
+        is_path = token.endswith(".json") or Path(token).exists()
+    except OSError:  # not a name the file system takes, e.g. over 255 bytes
+        is_path = False
+    if is_path:
         return GramLattice(_read_matrix(token), name=Path(token).stem)
     return parse_lattice_expr(token)
 

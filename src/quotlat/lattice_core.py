@@ -13,6 +13,7 @@ library; nothing in the package itself uses them.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from . import _linalg as la
 from ._record import record
@@ -58,7 +59,13 @@ MAX_RANK = 512
 
 
 def _freeze(mat) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(map(int, row)) for row in mat)
+    """mat as a tuple of int tuples; TypeError on an entry whose type is not
+    int (bool and float included), which is checked at C speed."""
+    rows = tuple(map(tuple, mat))
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise TypeError(f"matrix entries must be int, got {type(bad).__name__} {bad!r}")
+    return rows
 
 
 @record

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,7 +221,9 @@ def _list(record, key, path, kind, default=()):
 
 def _one_of(value, path, choices):
     if value not in choices:
-        raise SchemaError(path, f"expected one of {tuple(choices)}, got {value!r}")
+        shown = reprlib.Repr()  # the value's top level only, long strings cut
+        shown.maxlevel = 1
+        raise SchemaError(path, f"expected one of {tuple(choices)}, got {shown.repr(value)}")
     return value
 
 

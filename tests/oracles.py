@@ -107,6 +107,59 @@ def power_ranks_mod_p(tau, p: int, steps: int) -> list[int]:
     return ranks
 
 
+def echelon_mod_p(a, p: int) -> list[list[int]]:
+    """Echelon basis over F_p, row by row (the former library route).
+
+    Each row in turn is reduced against the basis rows found so far, in
+    the order they were found, through their nonzero entries; the reduced
+    row mod p, scaled to a leading 1, is the next basis row unless it is 0.
+    """
+    basis: list[tuple[int, list[int], list[tuple[int, int]]]] = []
+    width = len(a[0]) if a else 0
+    for row in a:
+        if len(basis) == width:
+            break
+        row = list(row)
+        for col, _, nonzeros in basis:
+            c = row[col] % p
+            if c:
+                c = p - c
+                for j, x in nonzeros:
+                    row[j] += c * x
+        row = [x % p for x in row]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, p)
+        if inv != 1:
+            row = [x * inv % p for x in row]
+        basis.append((lead, row, [(j, x) for j, x in enumerate(row) if x]))
+    return [prow for _, prow, _ in basis]
+
+
+def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
+    """[rank A^0, ..., rank A^steps] over F_p: each image the row-by-row
+    echelon basis of the previous one times A mod p, by dense products."""
+    n = len(a)
+    m = [[x % p for x in row] for row in a]
+    ranks = [n]
+    products = m
+    while len(ranks) <= steps:
+        image = echelon_mod_p(products, p)
+        ranks.append(len(image))
+        if not image:
+            break
+        products = _dense_mul(image, m)
+    return ranks + [0] * (steps + 1 - len(ranks))
+
+
+def left_kernel_mod_p(a, p: int) -> list[list[int]]:
+    """Right halves of the row-by-row echelon rows of [A | I] with zero left half."""
+    n = len(a)
+    echelon = echelon_mod_p([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], p)
+    return [row[n:] for row in echelon if not any(row[:n])]
+
+
 def has_order_dividing(phi, p: int) -> bool:
     """phi^p == identity, by p dense products starting from the identity."""
     n = len(phi)

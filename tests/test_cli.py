@@ -30,6 +30,18 @@ def test_lattice_from_file(tmp_path, capsys):
     assert "determinant        -9" in out
 
 
+def test_expression_longer_than_a_file_name_is_read_as_an_expression(capsys):
+    expr = " + ".join(["U(2)"] * 40)  # 278 bytes; Path.exists() raises on it
+    assert len(expr.encode()) > 255
+    code, out, err = run(capsys, ["lattice", expr, "--invariants"])
+    assert (code, err) == (0, "")
+    assert "rank               80" in out
+    assert "determinant        " + str(2**80) in out
+    assert "signature          (40, 40)" in out
+    padded = "U + U + U" + " " * 250 + "+ E8(-1)^2"
+    assert run(capsys, ["hilb2", "--gram", padded]) == run(capsys, ["hilb2"])
+
+
 def test_snf_command(tmp_path, capsys):
     f = tmp_path / "m.json"
     f.write_text(json.dumps([[2, 4], [6, 8]]))

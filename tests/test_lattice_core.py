@@ -34,6 +34,7 @@ from quotlat.lattice_core import (
     NotInDual,
     ParseError,
 )
+from quotlat.gmodule import PrimeOrderAction
 
 
 def test_atom_table():
@@ -63,6 +64,19 @@ def test_atom_grams_frozen():
     assert ATOM_GRAMS["H5"] == ((2, 1), (1, -2))
     assert ATOM_GRAMS["K7"] == ((-4, 1), (1, -2))
     assert ATOM_GRAMS["K19"] == ((-10, 1), (1, -2))
+
+
+@pytest.mark.parametrize("entry", [2.7, 2.0, 1.9, "2", True, False], ids=repr)
+def test_matrix_entries_that_are_not_ints_are_refused(entry):
+    """int() would turn 2.7 into 2 and 1.9 into 1; records take plain ints only."""
+    kind = type(entry).__name__
+    with pytest.raises(TypeError, match=f"must be int, got {kind}"):
+        GramLattice([[entry, 1], [1, 2]])
+    with pytest.raises(TypeError, match=f"must be int, got {kind}"):
+        PrimeOrderAction(2, [[0, entry], [1, 0]])
+    with pytest.raises(TypeError, match=f"must be int, got {kind}"):
+        HilbertSquare([[2, 1], [1, entry]])
+    assert GramLattice(((2, 1), [1, 2])).gram == ((2, 1), (1, 2))
 
 
 def test_parse_k3_lattice():

@@ -24,6 +24,8 @@ from quotlat import (
     reiner_action,
     weight_dim2,
 )
+from quotlat.quotient_lattice import find_glue
+from quotlat.scenario import load_catalog
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -137,6 +139,75 @@ def test_mat_mul_edge_cases():
         for a in ([[x, x]], [[-x, x]], [[-x, -x]]):
             b = [[x, -x], [x, x]]
             assert la.mat_mul(a, b) == oracles._dense_mul(a, b)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+@pytest.mark.parametrize("over", [-1, 0], ids=["under", "at"])
+def test_mat_mul_at_each_slot_boundary(size, over):
+    """Products whose bound is just under and just at 2^(8 size - 1): the
+    first fits a size-byte slot, the second takes the next width."""
+    top = (1 << (8 * size - 1)) + over
+    assert la._slots(top, 1)[0] == (size if over else 2 * size if size < 8 else 9)
+    cases = [([[top], [-top], [0], [1]], [[1, -1, 0, 1]])]  # one inner term: bound top
+    if top % 2 == 0:  # two inner terms of top / 2
+        cases.append(([[top // 2, top // 2], [-top // 2, top // 2]], [[1, -1, 1], [1, -1, 0]]))
+    rng = Random(size)
+    c = [[rng.randint(-1, 1) for _ in range(5)]]
+    cases.append(([[rng.randint(-top, top)] for _ in range(6)] + [[top], [-top]], c))
+    for a, b in cases:
+        assert la.mat_mul(a, b) == oracles._dense_mul(a, b)
+        assert max(abs(x) for row in la.mat_mul(a, b) for x in row) == top
+
+
+ECHELON_PRIMES = (2, 3, 5, 7, 11, 13, (1 << 31) - 1, (1 << 61) - 1)
+# (rows, columns): empty, square, more rows than columns, wide; 300 columns
+# at p = 13 take 4-byte slots in the echelon
+ECHELON_SHAPES = ((0, 0), (1, 1), (5, 5), (9, 4), (4, 9), (12, 12), (3, 300))
+
+
+def _seeded_matrix(rng, rows, cols, spread, fill):
+    """rows x cols entries in [-spread, spread], a share fill of them nonzero,
+    some rows zero and some repeated."""
+    m = [[rng.randint(-spread, spread) if rng.random() < fill else 0 for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.2:
+            m[i] = [0] * cols
+        elif i and rng.random() < 0.2:
+            m[i] = [-x for x in m[rng.randrange(i)]]
+    return m
+
+
+@pytest.mark.parametrize("p", ECHELON_PRIMES)
+def test_packed_echelon_equals_the_row_by_row_one(p):
+    """echelon_mod_p, rank_mod_p, image_ranks_mod_p and left_kernel_mod_p
+    against the row-by-row echelon of ``oracles``, row for row."""
+    rng = Random(p)
+    for rows, cols in ECHELON_SHAPES:
+        for spread in (1, p, 10**6):
+            for fill in (0.1, 0.5, 1.0):
+                a = _seeded_matrix(rng, rows, cols, spread, fill)
+                assert la.echelon_mod_p(a, p) == oracles.echelon_mod_p(a, p), (a, p)
+                assert la.rank_mod_p(a, p) == len(oracles.echelon_mod_p(a, p))
+                if rows == cols and cols < 300:
+                    steps = p + 1 if p < 20 else 4
+                    assert la.image_ranks_mod_p(a, p, steps) == oracles.image_ranks_mod_p(a, p, steps)
+                    assert la.left_kernel_mod_p(a, p) == oracles.left_kernel_mod_p(a, p)
+    assert la.echelon_mod_p([], p) == []
+    assert la.echelon_mod_p([[0, 0], [p, -p]], p) == []
+
+
+def test_echelon_cases_reach_every_slot_width():
+    """The echelon's slots hold p + columns (p - 1)^2; the cases above take
+    1-, 2-, 4- and 8-byte slots and the per-slot path beyond 8 bytes."""
+    sizes = {la._slots(p + cols * (p - 1) ** 2, cols)[0] for p in ECHELON_PRIMES for _, cols in ECHELON_SHAPES}
+    assert {1, 2, 4, 8} <= sizes and max(sizes) > 8
+
+
+def test_find_glue_of_every_catalog_lattice_is_pinned():
+    """find_glue reads left_kernel_mod_p, so its packed echelon shows here."""
+    glue = [(s.name, find_glue(s.invariant, s.prime)) for s in load_catalog() if s.invariant is not None]
+    assert len(glue) == 16
+    assert _digest(glue) == "e4c848b8709d70420376e45cf5ccbf7fb235ff30dfb5e0bb123d33cfdabd4fbb"
 
 
 # ------------------------------------------- wrappers of the fraction-free core

@@ -370,6 +370,24 @@ def _nested(spec, wrap, depth):
     return spec
 
 
+def test_choice_error_shows_a_short_repr_of_the_value(tmp_path, capsys):
+    """A verdict nested 500 deep is named in one short line, not ~1000 characters."""
+    rec = json.loads((catalog_dir() / "08-Z11.json").read_text())
+    rec["expected"]["verdicts"] = {"2": "DEEP"}
+    target = tmp_path / "deep.json"
+    target.write_text(json.dumps(rec).replace('"DEEP"', "[" * 500 + '"Normal"' + "]" * 500))
+    assert main(["normality", str(target)]) == 2
+    out, err = capsys.readouterr()
+    choices = "('Normal', 'NotNormal', 'Unknown')"
+    assert out == "" and err == f"error: deep.expected.verdicts.2: expected one of {choices}, got [[...]]\n"
+    rec["expected"]["verdicts"] = {"2": "n" * 5000}
+    target.write_text(json.dumps(rec))
+    assert main(["normality", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: deep.expected.verdicts.2: expected one of {choices}, got 'nnn")
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "lattice, field",
     [
