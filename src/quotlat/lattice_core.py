@@ -135,10 +135,10 @@ class SublatticeEmbedding:
 def smith_normal_form(matrix) -> tuple[tuple, tuple, tuple]:
     """Public SNF: returns (U, D, V) with U*A*V = D, det U, det V = +-1.
 
-    Pivot rule: smallest nonzero absolute value, ties broken row-major.
-    Quotients are rounded to the nearest integer, so each remainder is at
-    most half the pivot; D is unique, U and V are one choice among many.
-    V^-1 is not computed.
+    A row Hermite pass comes before the Smith pivot loop, and both round
+    quotients to the nearest integer, so each remainder is at most half
+    the pivot; D is unique, U and V are one choice among many.  V^-1 is
+    not computed.
     """
     res = la.smith_normal_form(matrix)
     return _freeze(res.u), _freeze(res.d), _freeze(res.v)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from sympy import GF, ZZ, Matrix, Rational
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
@@ -28,6 +29,103 @@ def snf_divisors(rows) -> list[int]:
     d = _sympy_snf(Matrix([list(r) for r in rows]))
     n = min(d.shape)
     return [abs(int(d[i, i])) for i in range(n) if d[i, i] != 0]
+
+
+class SNF(NamedTuple):
+    u: list[list[int]]
+    d: list[list[int]]
+    v: list[list[int]]
+
+
+def smith_normal_form(a) -> SNF:
+    """U*A*V = D by the Smith pivot loop alone (the former library route).
+
+    Diagonal entries are nonnegative and form a divisibility chain.  Step t
+    moves the smallest nonzero |entry| of d[t:, t:] (ties broken by
+    row-major position) to (t, t) and makes it positive.  Row operations
+    then clear column t below it and column operations clear row t, with
+    nearest-integer quotients q = floor((2x + piv) / (2 piv)), so every
+    remainder has |r| <= piv / 2.  A nonzero remainder repeats the step
+    with a pivot at most half as large; once row and column are clear, the
+    first row with an entry that piv does not divide is added to row t and
+    the step repeats.  The quotients of one sweep come from column (row) t
+    alone, which that sweep leaves unchanged, so each row of d and U is
+    rewritten at most once per sweep, d only from column t on.  V is kept
+    transposed, so its column operations are row operations too.  V^-1 is
+    not formed: U*A = D*V^-1 gives its rows where D is nonzero.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    vt = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(min(m, n)):
+        if t == m - 1 == n - 1:  # a 1 x 1 block only needs its sign
+            if d[t][t] < 0:
+                d[t] = [-x for x in d[t]]
+                u[t] = [-x for x in u[t]]
+            break
+        while True:
+            # |d[t:, t:]| row-major; at t = 0 slicing would only copy
+            if t:
+                flat = [abs(x) for row in d[t:] for x in row[t:]]
+            else:
+                flat = [abs(x) for row in d for x in row]
+            least = min(filter(None, flat), default=0) if 0 in flat else min(flat)
+            if not least:
+                break
+            bi, bj = divmod(flat.index(least), n - t)
+            bi += t
+            bj += t
+            if bi != t:
+                d[t], d[bi] = d[bi], d[t]
+                u[t], u[bi] = u[bi], u[t]
+            if bj != t:
+                for row in d[t:]:
+                    row[t], row[bj] = row[bj], row[t]
+                vt[t], vt[bj] = vt[bj], vt[t]
+            top = d[t]
+            if top[t] < 0:
+                d[t] = top = [-x for x in top]
+                u[t] = [-x for x in u[t]]
+            piv = top[t]
+            tail, urow, twice = top[t:], u[t], 2 * piv
+            dirty = False
+            for i in range(t + 1, m):
+                row = d[i]
+                x = row[t]
+                if x:
+                    q = (2 * x + piv) // twice
+                    if q:
+                        row[t:] = [y - q * z for y, z in zip(row[t:], tail)]
+                        u[i] = [y - q * z for y, z in zip(u[i], urow)]
+                        if row[t]:
+                            dirty = True
+                    else:
+                        dirty = True
+            qs = [(2 * x + piv) // twice for x in top[t + 1:]]
+            if any(qs):
+                for row in d[t:]:
+                    c = row[t]
+                    if c:
+                        row[t + 1:] = [y - c * q for y, q in zip(row[t + 1:], qs)]
+                vrow = vt[t]
+                for j, q in enumerate(qs, t + 1):
+                    if q:
+                        vt[j] = [y - q * z for y, z in zip(vt[j], vrow)]
+            if dirty or any(top[t + 1:]):
+                continue
+            if piv == 1:
+                break
+            # piv must divide the rest: add the first row it does not divide
+            for fix in range(t + 1, m):
+                if any([x % piv for x in d[fix][t + 1:]]):
+                    d[t] = [x + y for x, y in zip(top, d[fix])]
+                    u[t] = [x + y for x, y in zip(u[t], u[fix])]
+                    break
+            else:
+                break
+    return SNF(u, d, [list(col) for col in zip(*vt)])
 
 
 def charpoly(rows) -> list[int]:

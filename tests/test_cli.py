@@ -1,9 +1,12 @@
 """Command line driver: parsing, reports, exit codes, determinism."""
 
 import json
+from random import Random
 
+import oracles
 import pytest
 
+from quotlat import _linalg as la
 from quotlat import toric_weight
 from quotlat.cli import main
 
@@ -48,6 +51,46 @@ def test_snf_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["snf", str(f)])
     assert code == 0
     assert "elementary divisors [2, 4]" in out
+
+
+def _printed_matrices(out: str) -> dict[str, list[list[int]]]:
+    """The matrices `quotlat snf` prints, by name: each "X =" line and its rows."""
+    mats: dict[str, list[list[int]]] = {}
+    for line in out.splitlines():
+        if line.endswith(" ="):
+            rows = mats[line[:-2]] = []
+        elif line.startswith("  ["):
+            rows.append([int(x) for x in line.strip(" []").split()])
+    return mats
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[rng.randint(-9, 9) for _ in range(12)] for rng in [Random(12)] for _ in range(12)],
+        [[2, 4, -6, 0, 8], [-1, -2, 3, 0, -4], [0, 3, 5, 1, -7]],  # rank 2
+    ],
+    ids=["12x12", "3x5-rank-2"],
+)
+def test_snf_command_prints_valid_transforms(tmp_path, capsys, rows):
+    """U A V = D for the printed matrices, D a nonnegative divisibility chain
+    on its diagonal and zero off it, and U and V unimodular."""
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(rows))
+    code, out, err = run(capsys, ["snf", str(f)])
+    assert (code, err) == (0, "")
+    mats = _printed_matrices(out)
+    u, d, v = mats["U"], mats["D"], mats["V"]
+    m, n = len(rows), len(rows[0])
+    assert (len(u), len(d), len(v)) == (m, m, n)
+    assert la.mat_mul(la.mat_mul(u, rows), v) == d
+    diag = [d[i][i] for i in range(min(m, n))]
+    assert out.splitlines()[0] == f"elementary divisors {diag}"
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    assert all(x >= 0 for x in diag)
+    assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
+    assert sum(map(bool, diag)) == oracles.rank_rational(rows)
+    assert abs(oracles.det(u)) == abs(oracles.det(v)) == 1
 
 
 JORDAN_CASES = [

@@ -204,10 +204,27 @@ def test_echelon_cases_reach_every_slot_width():
 
 
 def test_find_glue_of_every_catalog_lattice_is_pinned():
-    """find_glue reads left_kernel_mod_p, so its packed echelon shows here."""
-    glue = [(s.name, find_glue(s.invariant, s.prime)) for s in load_catalog() if s.invariant is not None]
+    """find_glue reads left_kernel_mod_p, so its packed echelon shows here,
+    and row_span_basis, so its Smith form's U does too.  Before the digest,
+    each transform is checked to span the lattice of its generators, the
+    rows K of left_kernel_mod_p(gram, p) and p I: every generator has
+    integer coordinates over the transform rows, and every transform row
+    has integer coordinates over the generators, which (as p I is among
+    them) means its residue mod p lies in the F_p span of K."""
+    glue = []
+    for s in load_catalog():
+        if s.invariant is None:
+            continue
+        spec = find_glue(s.invariant, s.prime)
+        p, n = s.prime, s.invariant.rank
+        kernel = la.left_kernel_mod_p(s.invariant.gram, p)
+        generators = kernel + [[p * (i == j) for j in range(n)] for i in range(n)]
+        assert la.integer_coordinates(spec.transform, generators) is not None, s.name
+        k = oracles.rank_mod_p(kernel, p) if kernel else 0
+        assert all(oracles.rank_mod_p(kernel + [list(row)], p) == k for row in spec.transform), s.name
+        glue.append((s.name, spec))
     assert len(glue) == 16
-    assert _digest(glue) == "e4c848b8709d70420376e45cf5ccbf7fb235ff30dfb5e0bb123d33cfdabd4fbb"
+    assert _digest(glue) == "1b70ee285e06ddf9071bc64d2abf888d92a58f5ffb09a5e9f668e53865810161"
 
 
 # ------------------------------------------- wrappers of the fraction-free core
@@ -473,24 +490,32 @@ def dependent_rows_matrix(rng, m, n, rank):
     return rows
 
 
+def assert_smith_form(a, res):
+    """U A V = D, D diagonal, and U and V unimodular."""
+    m, n = len(a), len(a[0])
+    assert la.mat_mul(la.mat_mul(res.u, a), res.v) == res.d
+    assert all(res.d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    assert abs(oracles.det(res.u)) == abs(oracles.det(res.v)) == 1
+
+
 def test_smith_form_transforms_stay_bounded_up_to_40():
     """U A V = D with D a nonnegative divisibility chain, U and V unimodular,
-    the divisors sympy's, and no transform entry longer than 80 bits per row
-    or column of A.  The bound is set from this elimination (largest case:
-    3144 bits at 40 x 40); floor quotients x // piv reached 4611 bits on the
-    same matrix.  sympy's Smith form takes 1-20 s on a full-rank 40 x 40
-    input, so there the divisors are checked through their product |det A|;
-    with D diagonal and U, V unimodular that already makes D the Smith form."""
+    the divisors sympy's, and no transform entry longer than 16 bits per row
+    or column of A.  The bound is set from this elimination, a row Hermite
+    pass before the Smith loop (largest case: 343 bits at 40 x 40, 8.6 per
+    row); the loop alone reached 3144 bits on the same matrix, and with
+    floor quotients x // piv 4611.  sympy's Smith form takes 1-20 s on a
+    full-rank 40 x 40 input, so there the divisors are checked through
+    their product |det A|; with D diagonal and U, V unimodular that already
+    makes D the Smith form."""
     rng = Random(2024)
     for m, n, rank in SNF_SHAPES:
         a = dependent_rows_matrix(rng, m, n, rank)
         res = la.smith_normal_form(a)
-        assert la.mat_mul(la.mat_mul(res.u, a), res.v) == res.d
+        assert_smith_form(a, res)
         diag = res.diagonal
-        assert all(res.d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
         assert all(x >= 0 for x in diag)
         assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
-        assert abs(oracles.det(res.u)) == abs(oracles.det(res.v)) == 1
         divisors = [x for x in diag if x]
         assert len(divisors) == rank
         if (m, n, rank) == (40, 40, 40):
@@ -498,7 +523,43 @@ def test_smith_form_transforms_stay_bounded_up_to_40():
         else:
             assert divisors == oracles.snf_divisors(a)
         bits = max(abs(x).bit_length() for t in (res.u, res.v) for row in t for x in row)
-        assert bits <= 80 * max(m, n), (m, n, rank, bits)
+        assert bits <= 16 * max(m, n), (m, n, rank, bits)
+
+
+def small_snf_case(rng, case):
+    """Up to 7 x 7, entries up to 10^4: sparse, with zero rows and columns
+    and negative entries; every 4th case is 1 x n or m x 1."""
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    if case % 4 == 0:
+        m, n = (1, n) if case % 8 else (m, 1)
+    spread = rng.choice((1, 3, 9, 10**4))
+    a = [[rng.randint(-spread, spread) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)]
+    if case % 3 == 0:
+        a[rng.randrange(m)] = [0] * n
+    if case % 5 == 0:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def test_smith_form_d_is_the_pivot_loop_d():
+    """D equals that of the pivot loop alone (``oracles.smith_normal_form``)
+    on every benchmark shape, the full-rank 40 x 40 included, where sympy is
+    too slow to serve as the reference, and on 600 small cases; each U and
+    V is checked to be unimodular with U A V = D."""
+    rng = Random(40)
+    cases = [dependent_rows_matrix(rng, m, n, rank) for m, n, rank in SNF_SHAPES]
+    cases += [small_snf_case(rng, case) for case in range(600)]
+    # a negative least entry, which the pivot takes with its sign flipped
+    cases += [[[-3]], [[0, -2, 4]], [[-6], [4], [0]], [[0, 0], [0, 0]], [[-1, 0], [0, -1]],
+              [[4, -2], [-6, 0]], [[0, 0, 0], [0, -5, 10]]]
+    shapes = {(len(a), len(a[0])) for a in cases}
+    assert {(1, 1), (1, 7), (7, 1), (40, 40)} <= shapes
+    for a in cases:
+        res = la.smith_normal_form(a)
+        assert res.d == oracles.smith_normal_form(a).d, a
+        assert_smith_form(a, res)
 
 
 def test_row_span_basis_and_rows_have_mutual_integer_coordinates():
