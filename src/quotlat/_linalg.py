@@ -24,11 +24,12 @@ rows into it, and the image chain of ``image_ranks_mod_p`` hands it its
 packed products without unpacking them;
 ``rank_mod_p`` at 3 gives the +-1 eigenlattice ranks of an involution,
 which equal its ranks over Q (the proof is in ``gmodule.jordan_profile``).
-The Smith normal form keeps the transforms U and V: kernels are read off
+Elimination over Z has one core, ``_hermite_rows``, a row Hermite form by
+row operations: the Smith normal form alternates it on rows and columns
+until D is diagonal, then one gcd step per pair makes the diagonal a
+divisibility chain.  It keeps the transforms U and V: kernels are read off
 the columns of V, and row-span bases off U*A = D*V^-1, so V^-1 is never
-formed.  It takes two passes, a row Hermite form by row operations alone
-and then the Smith pivot loop on it; the row pass comes first because it
-keeps U and V an order of magnitude narrower than the loop alone does.
+formed.
 The inertia of a symmetric matrix is read off its integer characteristic
 polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 """
@@ -39,7 +40,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import chain, compress, count
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from ._record import record
@@ -435,8 +436,8 @@ def _hermite_rows(rows: Matrix, n: int) -> None:
     repeating with the least remainder as pivot until it is clear, and
     then reduce the entries above it to at most piv / 2.  The pivot row is
     zero before column c, so each operation rewrites a row only from
-    column c on, the columns past n included: on [A | I] they collect the
-    transform.  ``rows`` is rewritten in place.
+    column c on, the columns past n included: they collect the transform,
+    U on [D | U] and V^T on [D^T | V^T].  ``rows`` is rewritten in place.
     """
     r = 0
     for c in range(n):
@@ -468,106 +469,60 @@ def _hermite_rows(rows: Matrix, n: int) -> None:
         r += 1
 
 
+def _is_diagonal(d: Matrix) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(d))
+
+
 def smith_normal_form(a) -> SNFResult:
     """Smith normal form with unimodular transforms: U*A*V = D.
 
-    Diagonal entries are nonnegative and form a divisibility chain.  Two
-    passes: the row pass (``_hermite_rows``) puts A in row Hermite form
-    H by row operations on [A | I], which leaves U A = H in the right
-    half, and the Smith loop runs on H.  Step t of the loop
-    moves the smallest nonzero |entry| of d[t:, t:] (ties broken by
-    row-major position) to (t, t) and makes it positive.  Row operations
-    then clear column t below it and column operations clear row t, with
-    nearest-integer quotients q = floor((2x + piv) / (2 piv)), so every
-    remainder has |r| <= piv / 2.  A nonzero remainder repeats the step
-    with a pivot at most half as large; once row and column are clear, the
-    first row with an entry that piv does not divide is added to row t and
-    the step repeats.  The quotients of one sweep come from column (row) t
-    alone, which that sweep leaves unchanged, so each row of d and U is
-    rewritten at most once per sweep, d only from column t on.  V is kept
-    transposed, so its column operations are row operations too.  V^-1 is
-    not formed: U*A = D*V^-1 gives its rows where D is nonzero.
-    The row pass comes first because it bounds the transforms.  On a
-    dense A the loop alone interleaves row and column operations, and U
-    and V compound each other's growth: 3144-bit entries on a 40 x 40
-    with entries in [-9, 9].  A Hermite form is upper triangular with
-    the entries above each pivot reduced modulo it, so the loop has
-    little left to do: 343 bits on the same matrix.  D is unique, so it
-    does not depend on the route; U and V do.
+    Diagonal entries are nonnegative and form a divisibility chain.  Rounds
+    of ``_hermite_rows`` alternate on [D | U] and on [D^T | V^T] (column
+    operations on D are row operations on D^T; Kannan-Bachem 1979) until D
+    is diagonal.  They end: the leading entry of the block not yet settled
+    is a positive integer, and each pass replaces it by a gcd of its column
+    (row), so it strictly falls until it divides that column and row; the
+    next pass then clears both, and later passes leave them alone.  The
+    nonzero diagonal entries come first, and one gcd step per pair i < j
+    with d_i not dividing d_j makes them a chain: with g = gcd(d_i, d_j),
+    c = d_i / g, c' = d_j / g, s = c^-1 mod c' and t = (g - s d_i) / d_j,
+    rows i, j of U become (s u_i + t u_j, c u_j - c' u_i) and those of V^T
+    (v_i + v_j, s c v_j - t c' v_i), both steps of determinant 1, and d_i,
+    d_j become g and c d_j.  Hermite passes keep U and V narrow: 343-bit
+    entries on a 40 x 40 with entries in [-9, 9], where a Smith pivot loop
+    alone reached 3144.  D is unique; U and V depend on the route.  V^-1
+    is not formed: U*A = D*V^-1 gives its rows where D is nonzero.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = [list(row) + e for row, e in zip(a, identity(m))]
-    _hermite_rows(rows, n)  # [A | I] -> [H | U]
-    d = [row[:n] for row in rows]
-    u = [row[n:] for row in rows]
-    vt = identity(n)
-    for t in range(min(m, n)):
-        if t == m - 1 == n - 1:  # a 1 x 1 block only needs its sign
-            if d[t][t] < 0:
-                d[t] = [-x for x in d[t]]
-                u[t] = [-x for x in u[t]]
+    d, u, vt = a, identity(m), identity(n)
+    while True:
+        rows = [list(x) + y for x, y in zip(d, u)]
+        _hermite_rows(rows, n)
+        d, u = [row[:n] for row in rows], [row[n:] for row in rows]
+        if _is_diagonal(d):
             break
-        while True:
-            # |d[t:, t:]| row-major; at t = 0 slicing would only copy
-            if t:
-                flat = [abs(x) for row in d[t:] for x in row[t:]]
-            else:
-                flat = [abs(x) for row in d for x in row]
-            least = min(filter(None, flat), default=0) if 0 in flat else min(flat)
-            if not least:
-                break
-            bi, bj = divmod(flat.index(least), n - t)
-            bi += t
-            bj += t
-            if bi != t:
-                d[t], d[bi] = d[bi], d[t]
-                u[t], u[bi] = u[bi], u[t]
-            if bj != t:
-                for row in d[t:]:
-                    row[t], row[bj] = row[bj], row[t]
-                vt[t], vt[bj] = vt[bj], vt[t]
-            top = d[t]
-            if top[t] < 0:
-                d[t] = top = [-x for x in top]
-                u[t] = [-x for x in u[t]]
-            piv = top[t]
-            tail, urow, twice = top[t:], u[t], 2 * piv
-            dirty = False
-            for i in range(t + 1, m):
-                row = d[i]
-                x = row[t]
-                if x:
-                    q = (2 * x + piv) // twice
-                    if q:
-                        row[t:] = [y - q * z for y, z in zip(row[t:], tail)]
-                        u[i] = [y - q * z for y, z in zip(u[i], urow)]
-                        if row[t]:
-                            dirty = True
-                    else:
-                        dirty = True
-            qs = [(2 * x + piv) // twice for x in top[t + 1:]]
-            if any(qs):
-                for row in d[t:]:
-                    c = row[t]
-                    if c:
-                        row[t + 1:] = [y - c * q for y, q in zip(row[t + 1:], qs)]
-                vrow = vt[t]
-                for j, q in enumerate(qs, t + 1):
-                    if q:
-                        vt[j] = [y - q * z for y, z in zip(vt[j], vrow)]
-            if dirty or any(top[t + 1:]):
-                continue
-            if piv == 1:
-                break
-            # piv must divide the rest: add the first row it does not divide
-            for fix in range(t + 1, m):
-                if any([x % piv for x in d[fix][t + 1:]]):
-                    d[t] = [x + y for x, y in zip(top, d[fix])]
-                    u[t] = [x + y for x, y in zip(u[t], u[fix])]
-                    break
-            else:
-                break
+        cols = [list(x) + y for x, y in zip(zip(*d), vt)]
+        _hermite_rows(cols, m)
+        d, vt = transpose([col[:m] for col in cols]), [col[m:] for col in cols]
+        if _is_diagonal(d):
+            break
+    diag = [d[i][i] for i in range(min(m, n)) if d[i][i]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            di, dj = diag[i], diag[j]
+            if dj % di:
+                g = gcd(di, dj)
+                ci, cj = di // g, dj // g
+                s = pow(ci, -1, cj)
+                t = (g - s * di) // dj
+                ui, uj, vi, vj = u[i], u[j], vt[i], vt[j]
+                u[i] = [s * x + t * y for x, y in zip(ui, uj)]
+                u[j] = [ci * y - cj * x for x, y in zip(ui, uj)]
+                vt[i] = [x + y for x, y in zip(vi, vj)]
+                vt[j] = [s * ci * y - t * cj * x for x, y in zip(vi, vj)]
+                diag[i], diag[j] = g, ci * dj
+        d[i][i] = diag[i]
     return SNFResult(u=u, d=d, v=transpose(vt))
 
 

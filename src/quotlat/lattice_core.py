@@ -135,10 +135,11 @@ class SublatticeEmbedding:
 def smith_normal_form(matrix) -> tuple[tuple, tuple, tuple]:
     """Public SNF: returns (U, D, V) with U*A*V = D, det U, det V = +-1.
 
-    A row Hermite pass comes before the Smith pivot loop, and both round
-    quotients to the nearest integer, so each remainder is at most half
-    the pivot; D is unique, U and V are one choice among many.  V^-1 is
-    not computed.
+    Row and column Hermite passes alternate until D is diagonal, with
+    quotients rounded to the nearest integer, so each remainder is at most
+    half the pivot; a gcd step per pair then makes the diagonal a
+    divisibility chain.  D is unique, U and V are one choice among many.
+    V^-1 is not computed.
     """
     res = la.smith_normal_form(matrix)
     return _freeze(res.u), _freeze(res.d), _freeze(res.v)

@@ -13,6 +13,7 @@ from random import Random
 from typing import NamedTuple
 
 from sympy import GF, ZZ, Matrix, Rational
+from sympy.matrices.normalforms import hermite_normal_form as _sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
@@ -29,6 +30,14 @@ def snf_divisors(rows) -> list[int]:
     d = _sympy_snf(Matrix([list(r) for r in rows]))
     n = min(d.shape)
     return [abs(int(d[i, i])) for i in range(n) if d[i, i] != 0]
+
+
+def row_lattice_hnf(rows) -> tuple[tuple[int, ...], ...]:
+    """sympy's Hermite normal form of the lattice spanned by the rows, which
+    is the same for every basis of that lattice (sympy reduces columns, so
+    it gets the transpose)."""
+    h = _sympy_hnf(Matrix([list(r) for r in rows]).T)
+    return tuple(tuple(int(x) for x in h.row(i)) for i in range(h.rows))
 
 
 class SNF(NamedTuple):

@@ -204,13 +204,14 @@ def test_echelon_cases_reach_every_slot_width():
 
 
 def test_find_glue_of_every_catalog_lattice_is_pinned():
-    """find_glue reads left_kernel_mod_p, so its packed echelon shows here,
-    and row_span_basis, so its Smith form's U does too.  Before the digest,
-    each transform is checked to span the lattice of its generators, the
-    rows K of left_kernel_mod_p(gram, p) and p I: every generator has
-    integer coordinates over the transform rows, and every transform row
-    has integer coordinates over the generators, which (as p I is among
-    them) means its residue mod p lies in the F_p span of K."""
+    """find_glue reads left_kernel_mod_p and row_span_basis.  Each
+    transform is checked to span the lattice of its generators, the rows K
+    of left_kernel_mod_p(gram, p) and p I: every generator has integer
+    coordinates over the transform rows, and every transform row has
+    integer coordinates over the generators, which (as p I is among them)
+    means its residue mod p lies in the F_p span of K.  The digest pins
+    that lattice through its Hermite normal form (sympy's) and the divided
+    flags, so it does not depend on which basis the Smith form's U gives."""
     glue = []
     for s in load_catalog():
         if s.invariant is None:
@@ -222,9 +223,9 @@ def test_find_glue_of_every_catalog_lattice_is_pinned():
         assert la.integer_coordinates(spec.transform, generators) is not None, s.name
         k = oracles.rank_mod_p(kernel, p) if kernel else 0
         assert all(oracles.rank_mod_p(kernel + [list(row)], p) == k for row in spec.transform), s.name
-        glue.append((s.name, spec))
+        glue.append((s.name, oracles.row_lattice_hnf(spec.transform), spec.divided))
     assert len(glue) == 16
-    assert _digest(glue) == "1b70ee285e06ddf9071bc64d2abf888d92a58f5ffb09a5e9f668e53865810161"
+    assert _digest(glue) == "1338c7881792da7e4b36b6f5ef3644c2e2843a385c30b1e849227de20f16917b"
 
 
 # ------------------------------------------- wrappers of the fraction-free core
@@ -501,13 +502,14 @@ def assert_smith_form(a, res):
 def test_smith_form_transforms_stay_bounded_up_to_40():
     """U A V = D with D a nonnegative divisibility chain, U and V unimodular,
     the divisors sympy's, and no transform entry longer than 16 bits per row
-    or column of A.  The bound is set from this elimination, a row Hermite
-    pass before the Smith loop (largest case: 343 bits at 40 x 40, 8.6 per
-    row); the loop alone reached 3144 bits on the same matrix, and with
-    floor quotients x // piv 4611.  sympy's Smith form takes 1-20 s on a
-    full-rank 40 x 40 input, so there the divisors are checked through
-    their product |det A|; with D diagonal and U, V unimodular that already
-    makes D the Smith form."""
+    or column of A.  The bound is set from this elimination, alternating
+    row and column Hermite passes and then the divisibility step (largest
+    case: 343 bits at 40 x 40, 8.6 per row; up to 11.7 per row on seeds 1
+    to 5); a Smith pivot loop alone reached 3144 bits on the same matrix,
+    and with floor quotients x // piv 4611.  sympy's Smith form takes
+    1-20 s on a full-rank 40 x 40 input, so there the divisors are checked
+    through their product |det A|; with D diagonal and U, V unimodular that
+    already makes D the Smith form."""
     rng = Random(2024)
     for m, n, rank in SNF_SHAPES:
         a = dependent_rows_matrix(rng, m, n, rank)
@@ -544,22 +546,48 @@ def small_snf_case(rng, case):
 
 
 def test_smith_form_d_is_the_pivot_loop_d():
-    """D equals that of the pivot loop alone (``oracles.smith_normal_form``)
-    on every benchmark shape, the full-rank 40 x 40 included, where sympy is
-    too slow to serve as the reference, and on 600 small cases; each U and
-    V is checked to be unimodular with U A V = D."""
+    """D equals that of the pivot loop alone (``oracles.smith_normal_form``,
+    which shares no code with the Hermite passes) on every benchmark shape,
+    the full-rank 40 x 40 included, where sympy is too slow to serve as the
+    reference, and on 600 small cases; each U and V is checked to be
+    unimodular with U A V = D."""
     rng = Random(40)
     cases = [dependent_rows_matrix(rng, m, n, rank) for m, n, rank in SNF_SHAPES]
     cases += [small_snf_case(rng, case) for case in range(600)]
     # a negative least entry, which the pivot takes with its sign flipped
     cases += [[[-3]], [[0, -2, 4]], [[-6], [4], [0]], [[0, 0], [0, 0]], [[-1, 0], [0, -1]],
               [[4, -2], [-6, 0]], [[0, 0, 0], [0, -5, 10]]]
+    # a column whose Hermite form is diagonal while [D | U] is not (m > n),
+    # and diagonal inputs that only the divisibility step changes
+    cases += [[[5], [0], [2], [-2], [0], [0]], [[4, 0], [0, 6]], [[6, 0, 0], [0, 10, 0], [0, 0, 15]],
+              [[5, 0], [0, 1]]]
     shapes = {(len(a), len(a[0])) for a in cases}
     assert {(1, 1), (1, 7), (7, 1), (40, 40)} <= shapes
     for a in cases:
         res = la.smith_normal_form(a)
         assert res.d == oracles.smith_normal_form(a).d, a
         assert_smith_form(a, res)
+
+
+def test_smith_form_of_a_conjugated_order_5_norm_takes_few_passes(monkeypatch):
+    """A seeded unimodular conjugate of diag(5^6, 1^54), the shape of the
+    norm 1 + phi + ... + phi^4 of the order-5 action on H^4: D is the
+    pivot loop's, with the 1s first, and the Hermite passes are few (2 on
+    this input), because the gcd step, not more passes, moves each 5 past
+    the 1s."""
+    rng = Random(5)
+    n = 60
+    diag = [[(5 if i < 6 else 1) * (i == j) for j in range(n)] for i in range(n)]
+    left, right = oracles.random_unimodular(rng, n, 60), oracles.random_unimodular(rng, n, 60)
+    a = la.mat_mul(la.mat_mul(left, diag), right)
+    calls = []
+    hermite = la._hermite_rows
+    monkeypatch.setattr(la, "_hermite_rows", lambda rows, k: calls.append(k) or hermite(rows, k))
+    res = la.smith_normal_form(a)
+    assert res.diagonal == [1] * 54 + [5] * 6
+    assert res.d == oracles.smith_normal_form(a).d
+    assert_smith_form(a, res)
+    assert len(calls) <= 3, len(calls)
 
 
 def test_row_span_basis_and_rows_have_mutual_integer_coordinates():
