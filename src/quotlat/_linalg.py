@@ -1,10 +1,10 @@
 """Exact integer and rational linear algebra helpers.
 
 Matrix contract: every function reads any sequence of integer rows, the
-records' tuples of tuples as well as lists (the elimination over Q also
-takes ``Fraction`` entries), never writes into an argument, and returns
-each matrix as a fresh ``list[list[int]]``; nothing touches floating
-point.  Callers pass record fields straight in.
+records' tuples of tuples as well as lists (``rank_rational`` and the
+vectors of the two solves also take ``Fraction`` entries), never writes
+into an argument, and returns each matrix as a fresh ``list[list[int]]``;
+nothing touches floating point.  Callers pass record fields straight in.
 Matrix products have one kernel, ``mat_mul``: Kronecker
 substitution packs each row of the right factor into one int, so a row of
 the product is one sum of big-integer multiples that skips zero entries,
@@ -12,24 +12,26 @@ and sparse and dense operands take the same route.  Slots are 1, 2, 4 or
 8 bytes wide, as narrow as the entry bound allows, and read through
 ``array``; wider bounds take wider slots read one by one.  ``mat_pow``
 and ``charpoly`` multiply through it.
-Elimination over Q has one fraction-free core, ``echelon_fraction_free``;
-``det_bareiss``, ``rank_rational``, ``solve_in_rowspan`` and
-``integer_coordinates`` wrap it, and ``integer_coordinates`` is the one
-route to an integral solve (an integral inverse is the coordinates of I).
-Elimination over F_p has one core, ``_echelon_packed``: rows are packed
-ints with nonnegative slots reduced mod p lazily, and each new basis row
-is added to every later row in one big-integer multiply-add.
+Elimination has two cores: over Z, ``_hermite_rows``; over F_p,
+``_echelon_packed``.
+``_hermite_rows`` is a row Hermite form by row operations that returns
+their sign.  ``det_bareiss`` is that sign times its diagonal,
+``rank_rational`` its nonzero rows, and ``solve_in_rowspan`` and
+``integer_coordinates`` reduce vectors against H = U*B and multiply by U
+(Kannan-Bachem 1979; Cohen, GTM 138, 2.4); ``integer_coordinates`` is
+the one route to an integral solve (an integral inverse is the
+coordinates of I).  The Smith normal form alternates it on rows and
+columns until D is diagonal, then one gcd step per pair makes the
+diagonal a divisibility chain.  It keeps the transforms U and V: kernels
+are read off the columns of V, and row-span bases off U*A = D*V^-1, so
+it never forms V^-1.  In ``_echelon_packed`` rows are packed ints with
+nonnegative slots reduced mod p lazily, and each new basis row is added
+to every later row in one big-integer multiply-add.
 ``echelon_mod_p``, ``rank_mod_p`` and ``left_kernel_mod_p`` pack their
 rows into it, and the image chain of ``image_ranks_mod_p`` hands it its
 packed products without unpacking them;
 ``rank_mod_p`` at 3 gives the +-1 eigenlattice ranks of an involution,
 which equal its ranks over Q (the proof is in ``gmodule.jordan_profile``).
-Elimination over Z has one core, ``_hermite_rows``, a row Hermite form by
-row operations: the Smith normal form alternates it on rows and columns
-until D is diagonal, then one gcd step per pair makes the diagonal a
-divisibility chain.  It keeps the transforms U and V: kernels are read off
-the columns of V, and row-span bases off U*A = D*V^-1, so V^-1 is never
-formed.
 The inertia of a symmetric matrix is read off its integer characteristic
 polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 """
@@ -40,7 +42,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import chain, compress, count
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from ._record import record
@@ -296,124 +298,88 @@ def _integral_row(row) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in row]
 
 
-def echelon_fraction_free(a) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free (Bareiss) forward elimination over Q.
+def _span_quotients(basis, vecs, divide):
+    """(Q, U) with vecs = Q*H and H = U*basis, or None when a vector is
+    outside the span or ``divide`` returns None for one of its quotients.
 
-    Accepts integer or ``Fraction`` entries; each row is first scaled to
-    integers by the lcm of its denominators, which keeps its row space.
-    Returns (rows, pivots, sign): the nonzero echelon rows as integers,
-    row k leading at column pivots[k], and the sign of the row swaps made.
-    After k pivots every remaining entry is a (k+1)-minor of the scaled
-    input, so the division by the previous pivot is exact, entries stay
-    bounded by Hadamard's inequality, and the last pivot of a nonsingular
-    square integer matrix is sign * det.  A step rewrites only the columns
-    from its pivot on (the rest is already zero), drops zero rows and skips
-    rows it leaves unchanged.
+    ``_hermite_rows`` on [basis | I] gives H on the left and the unimodular
+    U on the right; a zero left half in its last row means dependent basis
+    rows (ValueError).  Each vector, integer or ``Fraction``, is reduced
+    against the rows of H in order: q_i = divide(v_c, H_ic) at the pivot
+    column c of row i, then v -= q_i H_i, from column c on since H_i is zero
+    before it.  A vector whose remainder is not zero is outside the span.
+    Bases are integer rows.
     """
-    m = [r for r in map(_integral_row, a) if any(r)]
-    cols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for col in range(cols):
-        rank = len(pivots)
-        if rank == len(m):
-            break
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
-        top = m[rank]
-        lead = top[col]
-        tail = top[col:]
-        rest = []
-        for row in m[rank + 1:]:
-            f = row[col]
-            if f or lead != prev:
-                row[col:] = [(lead * x - f * y) // prev for x, y in zip(row[col:], tail)]
-            if any(row):  # a zero row stays zero; drop it
-                rest.append(row)
-        m[rank + 1:] = rest
-        prev = lead
-        pivots.append(col)
-    return m, pivots, sign
+    w = len(basis[0]) if basis else 0
+    rows = [list(b) + [int(i == j) for j in range(len(basis))] for i, b in enumerate(basis)]
+    _hermite_rows(rows, w)
+    if rows and not any(rows[-1][:w]):
+        raise ValueError("basis rows are dependent")
+    pivots = [next(compress(count(), row)) for row in rows]
+    quotients = []
+    for vec in vecs:
+        v, q = list(vec), []
+        for row, c in zip(rows, pivots):
+            qi = divide(v[c], row[c])
+            if qi is None:
+                return None
+            if qi:
+                v[c:] = [x - qi * y for x, y in zip(v[c:], row[c:w])]
+            q.append(qi)
+        if any(v):
+            return None
+        quotients.append(q)
+    return quotients, [row[w:] for row in rows]
 
 
-def _back_substitute(rows, k: int) -> list[list[Fraction]]:
-    """X with T X = R for echelon rows [T | R] whose T is k x k upper triangular."""
-    x: list[list[Fraction]] = [[]] * k
-    for i in range(k - 1, -1, -1):
-        row = rows[i]
-        acc = [Fraction(v) for v in row[k:]]
-        for j in range(i + 1, k):
-            if row[j]:
-                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
-        x[i] = [s / row[i] for s in acc]
-    return x
+def _exact_quotient(x, d):
+    """x / d if that is an integer, else None."""
+    q, r = divmod(x, d)
+    return None if r else q
 
 
 def det_bareiss(a) -> int:
-    """Exact determinant of a square integer matrix: sign times the last pivot."""
-    rows, pivots, sign = echelon_fraction_free(a)
-    if len(pivots) < len(a):
-        return 0
-    return sign * rows[-1][-1] if rows else 1
+    """Exact determinant of a square integer matrix: the sign that
+    ``_hermite_rows`` returns times the diagonal of the Hermite form, where
+    a column without a pivot leaves a 0.  The name stays because
+    ``perfbench/tracer.py`` wraps it by name."""
+    rows = [list(row) for row in a]
+    sign = _hermite_rows(rows, len(rows))
+    return sign * prod(row[i] for i, row in enumerate(rows))
 
 
 def rank_rational(a) -> int:
-    """Rank over Q of an integer or ``Fraction`` matrix: its number of pivots."""
-    return len(echelon_fraction_free(a)[1])
+    """Rank over Q of an integer or ``Fraction`` matrix: the nonzero rows of
+    the Hermite form of its rows, each scaled to integers (``_integral_row``).
+    The name stays because ``perfbench/tracer.py`` wraps it by name."""
+    rows = [row for row in map(_integral_row, a) if any(row)]
+    _hermite_rows(rows, len(rows[0]) if rows else 0)
+    return sum(map(any, rows))
 
 
 def solve_in_rowspan(basis, vec) -> list[Fraction] | None:
-    """Coordinates c with c * basis == vec, or None if vec is outside the span.
+    """Rational c with c * basis == vec, or None if vec is outside the span.
 
-    Eliminates [basis^T | vec^T]: a pivot in the last column puts vec
-    outside the span.  basis rows must be linearly independent, else
-    ValueError.
+    ``_span_quotients`` with exact division in Q, so c = q*U as Fractions.
+    basis is independent integer rows, else ValueError.  The name stays
+    because ``perfbench/tracer.py`` wraps it by name.
     """
-    k = len(basis)
-    rows, pivots, _ = echelon_fraction_free(
-        [[b[c] for b in basis] + [x] for c, x in enumerate(vec)]
-    )
-    if pivots[:k] != list(range(k)):
-        raise ValueError("basis rows are dependent")
-    if len(pivots) > k:
+    found = _span_quotients(basis, [vec], Fraction)
+    if found is None:
         return None
-    return [x[0] for x in _back_substitute(rows, k)]
+    (q,), u = found
+    return [sum(map(mul, q, col)) for col in zip(*u)]
 
 
 def integer_coordinates(basis, vecs) -> list[list[int]] | None:
     """Integer c_j with c_j * basis == vecs[j] for every j, or None.
 
-    One elimination of [basis^T | vecs^T] serves all vectors: a pivot past
-    column len(basis) puts a vector outside the rational span, and integer
-    back-substitution stops at the first nonzero remainder, a coordinate
-    that is not an integer.  Dependent basis rows raise ValueError.
+    ``_span_quotients`` with integer division, so a remainder (a coordinate
+    that is not an integer) gives None; every coordinate row is then one
+    ``mat_mul(Q, U)``.  basis is independent integer rows, else ValueError.
     """
-    k = len(basis)
-    width = len(basis[0]) if basis else len(vecs[0]) if vecs else 0
-    rows, pivots, _ = echelon_fraction_free(
-        [[b[c] for b in basis] + [v[c] for v in vecs] for c in range(width)]
-    )
-    if pivots[:k] != list(range(k)):
-        raise ValueError("basis rows are dependent")
-    if len(pivots) > k:
-        return None
-    x: list[list[int]] = [[]] * k
-    for i in range(k - 1, -1, -1):
-        row = rows[i]
-        acc = row[k:]
-        for j in range(i + 1, k):
-            if row[j]:
-                acc = [s - row[j] * t for s, t in zip(acc, x[j])]
-        qr = [divmod(s, row[i]) for s in acc]
-        if any(r for _, r in qr):
-            return None
-        x[i] = [q for q, _ in qr]
-    return [[x[i][j] for i in range(k)] for j in range(len(vecs))]
+    found = _span_quotients(basis, vecs, _exact_quotient)
+    return None if found is None else mat_mul(*found)
 
 
 @record
@@ -427,8 +393,9 @@ class SNFResult:
         return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
 
 
-def _hermite_rows(rows: Matrix, n: int) -> None:
-    """Put the first n columns of rows in row Hermite form by row operations.
+def _hermite_rows(rows: Matrix, n: int) -> int:
+    """Put the first n columns of rows in row Hermite form by row operations;
+    return the sign they multiply a determinant by.
 
     Column by column, the smallest nonzero |entry| of column c in the rows
     from r on (those without a pivot yet) becomes the positive pivot
@@ -437,9 +404,12 @@ def _hermite_rows(rows: Matrix, n: int) -> None:
     then reduce the entries above it to at most piv / 2.  The pivot row is
     zero before column c, so each operation rewrites a row only from
     column c on, the columns past n included: they collect the transform,
-    U on [D | U] and V^T on [D^T | V^T].  ``rows`` is rewritten in place.
+    U on [D | U] and V^T on [D^T | V^T].  Each swap of two rows and each
+    negated pivot row flips the sign, every round of a column counted;
+    adding a multiple of a row keeps it.  Rows without a pivot end up zero
+    in the first n columns and last.  ``rows`` is rewritten in place.
     """
-    r = 0
+    sign, r = 1, 0
     for c in range(n):
         while True:
             col = [abs(row[c]) for row in rows[r:]]
@@ -447,9 +417,12 @@ def _hermite_rows(rows: Matrix, n: int) -> None:
             if not piv:
                 break
             bi = col.index(piv) + r
-            rows[r], rows[bi] = rows[bi], rows[r]
+            if bi != r:
+                rows[r], rows[bi] = rows[bi], rows[r]
+                sign = -sign
             if rows[r][c] < 0:
                 rows[r] = [-x for x in rows[r]]
+                sign = -sign
             tail, twice = rows[r][c:], 2 * piv
             dirty = False
             for row in rows[r + 1:]:
@@ -467,6 +440,7 @@ def _hermite_rows(rows: Matrix, n: int) -> None:
             if q:
                 row[c:] = [y - q * z for y, z in zip(row[c:], tail)]
         r += 1
+    return sign
 
 
 def _is_diagonal(d: Matrix) -> bool:

@@ -228,7 +228,7 @@ def test_find_glue_of_every_catalog_lattice_is_pinned():
     assert _digest(glue) == "1338c7881792da7e4b36b6f5ef3644c2e2843a385c30b1e849227de20f16917b"
 
 
-# ------------------------------------------- wrappers of the fraction-free core
+# ------------------ determinant, rank and coordinates through the Hermite form
 
 
 def square_matrix(rng, n, spread=4):
@@ -253,6 +253,45 @@ def test_det_bareiss_edge_cases():
     assert la.det_bareiss([[0, 1], [1, 0]]) == -1  # one row swap
     assert la.det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     assert la.det_bareiss([[1, 2], [0, 0]]) == 0
+    # the sign: a negated pivot row, a swap and a negation, several Euclid
+    # rounds in the first column (each round's swap counts)
+    assert la.det_bareiss([[-3]]) == -3
+    assert la.det_bareiss([[0, -2], [3, 0]]) == 6
+    assert la.det_bareiss([[4, 1], [6, 1]]) == -2
+    assert la.det_bareiss([[13, 1, 2], [8, 3, 1], [5, 2, 7]]) == 198
+    # signed permutation matrices: an odd and an even permutation of 5
+    odd = signed_permutation((1, 2, 0, 4, 3), {0})
+    even = signed_permutation((4, 3, 2, 1, 0), {1, 3, 4})
+    assert la.det_bareiss(odd) == 1 == oracles.det(odd)
+    assert la.det_bareiss(even) == -1 == oracles.det(even)
+
+
+def signed_permutation(perm, negated):
+    """The permutation matrix of perm with the rows in `negated` negated."""
+    n = len(perm)
+    return [[(-1 if i in negated else 1) * (j == perm[i]) for j in range(n)] for i in range(n)]
+
+
+def test_one_integer_elimination_serves_every_exact_result(monkeypatch):
+    """Determinant, rank, both solves and the Smith form all reach
+    ``_hermite_rows``, and no second elimination core is left."""
+    assert not hasattr(la, "echelon_fraction_free")
+    assert not hasattr(la, "_back_substitute")
+    calls = []
+    hermite = la._hermite_rows
+    monkeypatch.setattr(la, "_hermite_rows", lambda rows, k: calls.append(k) or hermite(rows, k))
+    m = [[2, 1], [1, 3]]
+    results = {
+        "det_bareiss": lambda: la.det_bareiss(m) == 5,
+        "rank_rational": lambda: la.rank_rational([[Fraction(1, 2), 1], [1, 2]]) == 1,
+        "integer_coordinates": lambda: la.integer_coordinates(m, [[4, 7]]) == [[1, 2]],
+        "solve_in_rowspan": lambda: la.solve_in_rowspan(m, [1, 0]) == [Fraction(3, 5), Fraction(-1, 5)],
+        "smith_normal_form": lambda: la.smith_normal_form(m).diagonal == [1, 5],
+    }
+    for name, call in results.items():
+        calls.clear()
+        assert call(), name
+        assert calls, name
 
 
 @given(st.integers(0, 10**6), st.sampled_from(("integral", "rational", "outside")))
@@ -528,6 +567,18 @@ def test_smith_form_transforms_stay_bounded_up_to_40():
         assert bits <= 16 * max(m, n), (m, n, rank, bits)
 
 
+def test_det_and_rank_match_the_oracles_on_every_benchmark_shape():
+    """Up to 40 x 40, past every determinant of `verify-paper` (14 x 14):
+    det_bareiss against the Bareiss loop of ``oracles.bareiss_det`` on the
+    square shapes, rank_rational against Fraction elimination on all."""
+    rng = Random(2025)
+    for m, n, rank in SNF_SHAPES:
+        a = dependent_rows_matrix(rng, m, n, rank)
+        assert la.rank_rational(a) == oracles.fraction_rank(a) == rank, (m, n, rank)
+        if m == n:
+            assert la.det_bareiss(a) == oracles.bareiss_det(a), (m, n, rank)
+
+
 def small_snf_case(rng, case):
     """Up to 7 x 7, entries up to 10^4: sparse, with zero rows and columns
     and negative entries; every 4th case is 1 x n or m x 1."""
@@ -580,6 +631,7 @@ def test_smith_form_of_a_conjugated_order_5_norm_takes_few_passes(monkeypatch):
     diag = [[(5 if i < 6 else 1) * (i == j) for j in range(n)] for i in range(n)]
     left, right = oracles.random_unimodular(rng, n, 60), oracles.random_unimodular(rng, n, 60)
     a = la.mat_mul(la.mat_mul(left, diag), right)
+    assert la.det_bareiss(a) == 5**6  # the conjugators are products of row additions
     calls = []
     hermite = la._hermite_rows
     monkeypatch.setattr(la, "_hermite_rows", lambda rows, k: calls.append(k) or hermite(rows, k))
@@ -671,7 +723,6 @@ CONTRACT_CALLS = {
     "rank_mod_p": lambda m, s: la.rank_mod_p(m, 5),
     "image_ranks_mod_p": lambda m, s: la.image_ranks_mod_p(m, 3, 4),
     "left_kernel_mod_p": lambda m, s: la.left_kernel_mod_p(s, 2),
-    "echelon_fraction_free": lambda m, s: la.echelon_fraction_free(m),
     "det_bareiss": lambda m, s: la.det_bareiss(m),
     "rank_rational": lambda m, s: la.rank_rational(m),
     "solve_in_rowspan": lambda m, s: la.solve_in_rowspan(m, s[0]),
