@@ -131,7 +131,9 @@ class PrimeOrderAction:
     products), each one packed-integer product (``_linalg.mat_mul``): a row
     of the product is one sum of packed rows that skips zero entries, so
     sparse and dense actions share one route.  A given Gram matrix G must
-    satisfy phi^T G phi = G.
+    satisfy phi^T G phi = G.  Only `sym2_action` and `conjugate` skip these
+    checks, through `_derived_action`, and their docstrings prove that their
+    results pass them; a copy made with ``replace`` is always checked.
     """
 
     p: int
@@ -168,6 +170,22 @@ class PrimeOrderAction:
             for i, row in enumerate(s):
                 row[i] += 1
         return s
+
+
+def _derived_action(p: int, phi, gram=None) -> PrimeOrderAction:
+    """The `PrimeOrderAction` record of (p, phi, gram) without its checks.
+
+    The caller proves them: p is a checked action's prime, phi is square,
+    phi^p = I, and phi^T gram phi = gram.  Only `sym2_action` and
+    `conjugate` call it (``tests/test_layering.py``).  phi and gram are
+    frozen as in the constructor, so the record equals and hashes like the
+    checked one.
+    """
+    out = object.__new__(PrimeOrderAction)
+    object.__setattr__(out, "p", p)
+    object.__setattr__(out, "phi", _freeze(phi))
+    object.__setattr__(out, "gram", None if gram is None else _freeze(gram))
+    return out
 
 
 def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
@@ -394,7 +412,13 @@ def k3_order5_action() -> PrimeOrderAction:
 
 
 def sym2_action(action: PrimeOrderAction) -> PrimeOrderAction:
-    """Induced action on Sym^2 Z^n in the basis e_i.e_j, i <= j (row-major)."""
+    """Induced action on Sym^2 Z^n in the basis e_i.e_j, i <= j (row-major).
+
+    The result is not checked again (`_derived_action`): Sym^2(phi psi) =
+    Sym^2(phi) Sym^2(psi), both sending e_i.e_j to (phi psi e_i).(phi psi
+    e_j), hence Sym^2(phi)^p = Sym^2(phi^p) = Sym^2(I) = I, as `action`
+    passed phi^p = I.  The result carries no Gram matrix.
+    """
     n = action.rank
     phi = action.phi
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -409,7 +433,7 @@ def sym2_action(action: PrimeOrderAction) -> PrimeOrderAction:
             for b, y in cols[j]:
                 key = (a, b) if a <= b else (b, a)
                 out[index[key]][col] += x * y
-    return PrimeOrderAction(p=action.p, phi=out)
+    return _derived_action(action.p, out)
 
 
 def sym2_profile(profile: JordanProfile) -> JordanProfile:
@@ -450,9 +474,19 @@ def sym2_profile(profile: JordanProfile) -> JordanProfile:
 
 
 def conjugate(action: PrimeOrderAction, unimodular) -> PrimeOrderAction:
-    """Change of basis: returns W^-1 phi W (gram transported if present)."""
+    """Change of basis: returns W^-1 phi W (gram transported if present).
+
+    W is square of the action's rank and W^-1 is exact: the integer C with
+    C W = I.  The result is not checked again (`_derived_action`):
+    (W^-1 phi W)^p = W^-1 phi^p W = I and (W^-1 phi W)^T (W^T G W)
+    (W^-1 phi W) = W^T phi^T G phi W = W^T G W, as `action` passed
+    phi^p = I and phi^T G phi = G.
+    """
+    n = action.rank
+    if len(unimodular) != n or any(len(row) != n for row in unimodular):
+        raise GModuleError(f"conjugating matrix must be {n}x{n}")
     try:
-        winv = la.integer_coordinates(unimodular, la.identity(len(unimodular)))
+        winv = la.integer_coordinates(unimodular, la.identity(n))
     except ValueError:  # singular
         winv = None
     if winv is None:  # W^-1 is integral exactly when det W = +-1
@@ -461,7 +495,7 @@ def conjugate(action: PrimeOrderAction, unimodular) -> PrimeOrderAction:
     gram = None
     if action.gram is not None:
         gram = la.mat_mul(la.mat_mul(la.transpose(unimodular), action.gram), unimodular)
-    return PrimeOrderAction(p=action.p, phi=phi, gram=gram)
+    return _derived_action(action.p, phi, gram)
 
 
 def zero_profile(p: int) -> JordanProfile:
@@ -552,10 +586,6 @@ class CohomologyProfile:
 
     def l1(self, k: int) -> int:
         return self.profile(k).l1
-
-    def l1_total(self, k: int) -> int:
-        """Total count of size-1 blocks regardless of the sign split."""
-        return self.profile(k).blocks[1]
 
     def l_pm1(self, k: int) -> int:
         return self.profile(k).l_pm1

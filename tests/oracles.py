@@ -195,8 +195,16 @@ def fraction_rank(rows) -> int:
 
 
 def _dense_mul(a, b) -> list[list[int]]:
-    n, k = len(b[0]), len(b)
-    return [[sum(row[t] * b[t][j] for t in range(k)) for j in range(n)] for row in a]
+    """a * b by plain row combinations: row i is sum_t a[i][t] b[t], zero
+    entries a[i][t] skipped, so sparse factors cost less."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def power_ranks_mod_p(tau, p: int, steps: int) -> list[int]:

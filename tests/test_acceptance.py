@@ -250,7 +250,7 @@ def test_criterion_8_fixed_counts_and_parity(catalog):
     assert len(k3_rows) == 10
     for s in k3_rows:
         cp = s.profile
-        predicted = 2 + cp.l1_total(2) + (cp.l_pm1(2) if s.prime > 2 else 0)
+        predicted = 2 + cp.profile(2).blocks[1] + (cp.l_pm1(2) if s.prime > 2 else 0)
         assert predicted == s.expected.fix_count, s.name
 
     for s in catalog:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 import quotlat
 from quotlat import _linalg as la
+from quotlat import _record
 from quotlat import gmodule
 from quotlat import (
     CohomologyProfile,
@@ -326,6 +327,76 @@ def test_sym2_action_freezes_phi_once_to_plain_ints(monkeypatch):
     assert again == square and hash(again) == hash(square)
     with pytest.raises(TypeError, match="bool"):  # plain ints only, as the JSON reader asks
         PrimeOrderAction(2, [[0, True], [1, 0]])
+
+
+def small_action(p):
+    """A Reiner action with blocks of every kind that fit in rank 2p (p <= 7:
+    trivial and cyclotomic, plus glued for p <= 5; cyclotomic alone above)."""
+    return reiner_action(p, (1, 1, 1) if p <= 5 else (1, 1, 0) if p == 7 else (0, 1, 0))
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_sym2_action_has_order_p_by_functoriality(p):
+    """sym2_action does not check Sym^2(phi)^p = I again (it follows from
+    phi^p = I); p plain products and the checked constructor confirm its
+    result on a sparse Reiner action and on a dense conjugate of it."""
+    act = small_action(p)
+    moved = conjugate(act, oracles.random_unimodular(Random(p), act.rank))
+    assert moved == PrimeOrderAction(p, moved.phi)
+    for base in (act, moved):
+        square = sym2_action(base)
+        assert oracles.has_order_dividing(square.phi, p)
+        checked = PrimeOrderAction(p, oracles.sym2_matrix(base.phi, base.rank))
+        assert square == checked and hash(square) == hash(checked)
+
+
+def test_conjugate_of_the_k3_action_equals_the_checked_record():
+    """W^-1 phi W and W^T G W from sympy's inverse and plain products,
+    through the checked constructor: the same record, Gram included.  A
+    copy with a Gram matrix that phi does not preserve is checked again."""
+    act = k3_order5_action()
+    w = oracles.random_unimodular(Random(11), act.rank)
+    winv = oracles.inverse(w)
+    assert all(x.denominator == 1 for row in winv for x in row)
+    winv = [[int(x) for x in row] for row in winv]
+    phi = oracles._dense_mul(oracles._dense_mul(winv, act.phi), w)
+    gram = oracles._dense_mul(oracles._dense_mul(transpose(w), act.gram), w)
+    checked = PrimeOrderAction(5, phi, gram)
+    moved = conjugate(act, w)
+    assert moved.gram is not None and moved.gram != act.gram
+    assert moved == checked and hash(moved) == hash(checked)
+    bad = la.shift_diagonal(gram, 1)  # preserved only if phi^T phi = I
+    assert oracles._dense_mul(oracles._dense_mul(transpose(phi), bad), phi) != bad
+    with pytest.raises(FormNotPreserved):
+        _record.replace(moved, gram=bad)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_replace_on_a_derived_action_checks_again(p):
+    """A derived record copied with a new phi goes back through the checks
+    of the constructor."""
+    square = sym2_action(small_action(p))
+    bad = [list(row) for row in square.phi]
+    bad[0][-1] += 1
+    assert not oracles.has_order_dividing(bad, p)
+    with pytest.raises(NotAnOrderPAction):
+        _record.replace(square, phi=bad)
+    with pytest.raises(NotAnOrderPAction, match="square"):
+        _record.replace(square, phi=bad[1:])
+
+
+def test_conjugate_rejects_a_matrix_of_the_wrong_shape_or_determinant():
+    act = reiner_action(3, (1, 1, 0))
+    for w in (la.identity(2), la.identity(4), la.identity(3)[:2], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        with pytest.raises(GModuleError, match="3x3"):
+            conjugate(act, w)
+    for w in ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+        with pytest.raises(GModuleError, match="unimodular"):
+            conjugate(act, w)
 
 
 @pytest.mark.parametrize(

@@ -146,12 +146,10 @@ def test_every_top_level_definition_has_a_use():
 
 
 # Methods kept without a caller in the package: the Hilbert-square action
-# hooks that the derived catalog rows (ROADMAP item 2) will call, and the
-# l_1 total that a test reads as a formula independent of surface_fix_count.
+# hooks that the derived catalog rows (ROADMAP item 2) will call.
 KEPT_METHODS = {
     ("hilb2_ring", "HilbertSquare.induced_h2"),
     ("hilb2_ring", "HilbertSquare.induced_h4"),
-    ("gmodule", "CohomologyProfile.l1_total"),
 }
 
 
@@ -212,6 +210,41 @@ def test_verdict_names_are_spelled_only_in_normality(path):
         if isinstance(node, ast.Constant) and node.value in ("Normal", "NotNormal", "Unknown")
     ]
     assert spelled == []
+
+
+def _unchecked_action_users(trees) -> list[str]:
+    """module.statement for each top-level statement that names
+    `_derived_action` (a call, a reference, an import or a string), its
+    own definition aside."""
+    return sorted(
+        f"{module}.{getattr(node, 'name', node.lineno)}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if getattr(node, "name", None) != "_derived_action"
+        and (
+            _name_uses(node)["_derived_action"]
+            or any(isinstance(a, ast.alias) and "_derived_action" in (a.name, a.asname) for a in ast.walk(node))
+        )
+    )
+
+
+def test_unchecked_actions_come_only_from_sym2_action_and_conjugate():
+    """`gmodule._derived_action` builds a `PrimeOrderAction` without the
+    phi^p = I and form checks.  Only the two constructions whose docstrings
+    prove their result may reach it, and the package does not export it, so
+    a new caller needs a visible change to this test."""
+    trees = _package_trees()
+    assert _unchecked_action_users(trees) == ["gmodule.conjugate", "gmodule.sym2_action"]
+    assert "_derived_action" not in _exported(trees)
+
+
+def test_unchecked_action_guard_sees_other_users():
+    tree = ast.parse(
+        "from .gmodule import _derived_action as d\n"
+        "def f(p, m):\n    return getattr(g, '_derived_action')(p, m)\n"
+        "def _derived_action(p, phi):\n    return phi\n"
+    )
+    assert _unchecked_action_users({"m": tree}) == ["m.1", "m.f"]
 
 
 def test_scenario_converts_errors_to_schema_error_in_one_handler():
