@@ -26,12 +26,20 @@ diagonal a divisibility chain.  It keeps the transforms U and V: kernels
 are read off the columns of V, and row-span bases off U*A = D*V^-1, so
 it never forms V^-1.  In ``_echelon_packed`` rows are packed ints with
 nonnegative slots reduced mod p lazily, and each new basis row is added
-to every later row in one big-integer multiply-add.
+to every later row in one big-integer multiply-add.  A row is reduced
+mod p whole, never unpacked: for slots at most B, k the least with
+B (m p - 2^k) < 2^k and m = ceil(2^k / p), t - p ((t m >> k) & low) is
+every slot mod p (Granlund-Montgomery 1994, Thm 4.2) once each slot has
+(B m).bit_length() bits, so that x m carries nothing into the next slot,
+and ``low`` keeps the low w - k bits of each w-bit slot.  The quotient is
+exact because x (m p - 2^k) <= B (m p - 2^k) < 2^k (``_fp_slots``).
+The reduced row is the basis row as it is, not made monic.
 ``echelon_mod_p``, ``rank_mod_p`` and ``left_kernel_mod_p`` pack their
-rows into it, and the image chain of ``image_ranks_mod_p`` hands it its
-packed products without unpacking them;
-``rank_mod_p`` at 3 gives the +-1 eigenlattice ranks of an involution,
-which equal its ranks over Q (the proof is in ``gmodule.jordan_profile``).
+rows into it and scale only the basis rows they return to a leading 1,
+and the image chain of ``image_ranks_mod_p`` hands it its packed
+products and unpacks only basis rows, for the next products;
+``rank_mod_p`` of phi - 1 at 3 gives both +-1 eigenlattice ranks of an
+involution over Q (the proof is in ``gmodule.jordan_profile``).
 The inertia of a symmetric matrix is read off its integer characteristic
 polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 """
@@ -74,16 +82,38 @@ def _max_abs(a) -> int:
     return max(map(abs, chain.from_iterable(a)), default=0)
 
 
+def _width(bits: int) -> int:
+    """Bytes in a slot of at least bits bits: the least power of two up to 8
+    (so ``array`` reads it), else the least width."""
+    return 1 << ((bits - 1) // 8).bit_length() if bits <= 64 else -(-bits // 8)
+
+
 def _slots(bound: int, n: int) -> tuple[int, int]:
     """(size, mask) of n signed slots for integers of absolute value <= bound.
 
-    size is the slot width in bytes: the least power of two up to 8 with
-    2^(8 size - 1) > bound (so ``array`` reads it), else the least width
-    with that; mask has the top bit of every slot set.
+    size is the slot width in bytes for bound.bit_length() + 1 bits
+    (``_width``), so 2^(8 size - 1) > bound; mask has the top bit of every
+    slot set.
     """
-    bits = bound.bit_length()
-    size = 1 << (bits // 8).bit_length() if bits < 64 else bits // 8 + 1
+    size = _width(bound.bit_length() + 1)
     return size, int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _fp_slots(p: int, bound: int) -> tuple[int, int, int]:
+    """(size, k, m) of packed rows over F_p whose slots stay at most bound.
+
+    ``_echelon_packed`` reduces every slot mod p at once with the
+    multiplier m = ceil(2^k / p) and the shift k (Granlund-Montgomery 1994,
+    Thm 4.2).  k is the least with bound (m p - 2^k) < 2^k, at most
+    bound.bit_length() + (p - 1).bit_length() and 1 for p = 2 (m = 1), and
+    the slots have (bound m).bit_length() bits, rounded up to a byte width
+    (``_width``).
+    """
+    k = 0
+    while bound * (-(1 << k) % p) >= 1 << k:
+        k += 1
+    m = -(-(1 << k) // p)
+    return _width((bound * m).bit_length()), k, m
 
 
 def _pack(row, size: int, mask: int) -> int:
@@ -141,8 +171,11 @@ def mat_mul(a, b) -> Matrix:
     Every entry of the product is at most len(b) max|a| max|b| in absolute
     value, which sets the slot width (``_slots``); each row of b becomes
     one int (``_pack``) and each row of the product one sum of them
-    (``_packed_product``).  Exact: no modulus and no float.
+    (``_packed_product``).  Exact: no modulus and no float.  A row of a
+    that is not len(b) long raises ValueError.
     """
+    if any(len(row) != len(b) for row in a):
+        raise ValueError(f"inner dimensions differ: a row of length {len(b)} is needed")
     n = len(b[0]) if b else 0
     amax = _max_abs(a)
     bound = len(b) * amax * (amax if b is a else _max_abs(b))
@@ -183,42 +216,68 @@ def mat_pow(a, e: int) -> Matrix:
     return result
 
 
-def _echelon_packed(rows: list[int], p: int, size: int, n: int) -> list[list[int]]:
-    """Echelon basis over F_p of packed rows of n nonnegative slots of size bytes.
+def _echelon_packed(rows: list[int], p: int, n: int, slots: tuple[int, int, int]) -> list[int]:
+    """Echelon basis over F_p of packed rows of n nonnegative slots, as packed
+    rows with slots in [0, p); ``slots`` is the ``_fp_slots`` of p and a bound
+    on every slot.
 
-    Pivot-major: row i is unpacked and reduced mod p only when its turn
-    comes; if it gives a basis row b with lead L, every later row whose
-    slot L is c != 0 mod p gets (p - c) * b as one big-integer
-    multiply-add.  Slots are reduced mod p only when a row is unpacked, so
-    they grow: b has entries in [0, p), so each basis row adds at most
-    (p - 1)^2, and there are at most n basis rows.  A slot that starts at
-    most s thus stays at most s + n (p - 1)^2, which the caller keeps
-    below 2^(8 size - 1) (``_slots``).  ``rows`` is rewritten.
+    Pivot-major: row i is reduced mod p only when its turn comes, all its
+    slots at once: with w = 8 size bits per slot and ``low`` the low w - k
+    bits of each, t - p ((t m >> k) & low) has slot j equal to x_j mod p for
+    the slots x_j of t.  Proof: x_j <= bound, so x_j m < 2^w fits its slot
+    and t m carries nothing between slots; the shift by k moves the low k
+    bits of slot j + 1 into the top k bits of slot j, and the mask keeps
+    floor(x_j m / 2^k) < 2^(w - k).  With e = m p - 2^k in [0, p) and
+    x_j = q p + r, x_j m / 2^k = x_j / p + x_j e / (p 2^k), where
+    x_j e <= bound e < 2^k; the fraction stays below (r + 1) / p <= 1, so
+    the quotient is q, and subtracting p q leaves r in every slot without
+    borrows.  A reduced row that is 0 gives nothing; otherwise it is the
+    next basis row b as it is (its leading slot v need not be 1), its lead
+    L is the lowest set bit over w, and every later row whose slot L is x
+    with c = -x v^-1 mod p nonzero gets c b as one big-integer
+    multiply-add, so slot L becomes 0 mod p.  b has slots in [0, p), so
+    each basis row adds at most (p - 1)^2 to a slot, and there are at most
+    n basis rows: a slot that starts at most s stays at most
+    s + n (p - 1)^2, which the caller's bound covers.  ``rows`` is
+    rewritten.
     """
+    size, k, m = slots
     bits = 8 * size
     slot = (1 << bits) - 1
+    low = ((1 << (bits - k)) - 1) * int.from_bytes((b"\1" + bytes(size - 1)) * n, "little")
     basis = []
     for i, t in enumerate(rows):
         if len(basis) == n:
             break
+        t -= p * (t * m >> k & low)
         if not t:
             continue
-        row = _unpack(t, size, n)
-        if max(row) >= p:
-            row = [x % p for x in row]
-        lead = next(compress(count(), row), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        if inv != 1:
-            row = [x * inv % p for x in row]
-        basis.append(row)
-        b = _pack(row, size, 0)
-        shift = bits * lead
+        basis.append(t)
+        shift = ((t & -t).bit_length() - 1) // bits * bits
+        neg = p - pow(t >> shift & slot, -1, p)
         rows[i + 1:] = [
-            t + (p - c) * b if (c := (t >> shift & slot) % p) else t for t in rows[i + 1:]
+            u + c * t if (c := (u >> shift & slot) * neg % p) else u for u in rows[i + 1:]
         ]
     return basis
+
+
+def _echelon_basis_packed(a, p: int) -> tuple[list[int], int, int]:
+    """(basis, size, width): the packed ``_echelon_packed`` basis of the rows
+    of an integer matrix mod p, its slot size and the number of columns.
+    Entries are packed mod p into slots for p + width (p - 1)^2
+    (``_echelon_packed``'s bound)."""
+    width = len(a[0]) if a else 0
+    slots = _fp_slots(p, p + width * (p - 1) ** 2)
+    size = slots[0]
+    rows = [_pack([x % p for x in row], size, 0) if any(row) else 0 for row in a]
+    return _echelon_packed(rows, p, width, slots), size, width
+
+
+def _monic(t: int, p: int, size: int, n: int) -> list[int]:
+    """The slots of a packed row with slots in [0, p), scaled to a leading 1."""
+    row = _unpack(t, size, n)
+    inv = pow(next(filter(None, row)), -1, p)
+    return row if inv == 1 else [x * inv % p for x in row]
 
 
 def echelon_mod_p(a, p: int) -> list[list[int]]:
@@ -229,23 +288,23 @@ def echelon_mod_p(a, p: int) -> list[list[int]]:
     are those of the row-by-row loop: each row in turn is reduced against
     the basis rows found so far, in the order they were found, adding
     p - c times basis row t for its entry c mod p at t's pivot.
-    ``_echelon_packed`` adds basis row t to every later row as soon as t
-    is found, and at that moment each later row has received exactly
-    basis rows 1 .. t - 1 (all found on earlier rows), so its c is the
-    same.  Every row thus receives the same basis rows in the same order
-    with the same coefficients, its slots equal the loop's entries mod p,
-    and the rows returned are identical.  Entries are packed mod p into
-    slots for p + width (p - 1)^2 (``_echelon_packed``'s bound).
+    ``_echelon_packed`` adds a multiple of basis row t to every later row
+    as soon as t is found, and at that moment each later row has received
+    exactly basis rows 1 .. t - 1 (all found on earlier rows).  Its basis
+    row t is the loop's times the unit v at t's pivot, and it adds
+    -x v^-1 times it, which is p - c times the loop's row mod p.  Every row
+    thus receives the same basis rows in the same order with the same
+    coefficients mod p, its slots are congruent to the loop's entries, and
+    the rows returned, scaled to a leading 1 (``_monic``), are identical.
     """
-    width = len(a[0]) if a else 0
-    size = _slots(p + width * (p - 1) ** 2, width)[0]
-    rows = [_pack([x % p for x in row], size, 0) if any(row) else 0 for row in a]
-    return _echelon_packed(rows, p, size, width)
+    basis, size, width = _echelon_basis_packed(a, p)
+    return [_monic(t, p, size, width) for t in basis]
 
 
 def rank_mod_p(a, p: int) -> int:
-    """Rank of a matrix over F_p: the size of its ``echelon_mod_p`` basis."""
-    return len(echelon_mod_p(a, p))
+    """Rank of a matrix over F_p: the size of its echelon basis, whose rows
+    are not made monic."""
+    return len(_echelon_basis_packed(a, p)[0])
 
 
 def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
@@ -255,23 +314,26 @@ def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
     step multiplies the echelon basis of the previous image by A mod p
     and echelonises the products.  A mod p is packed once, and each
     product row is the packed sum of its rows times the basis row's
-    nonzero entries, handed to ``_echelon_packed`` as it is: no row is
-    unpacked between product and echelon.  Basis and A mod p have entries
-    in [0, p), so a product slot is at most n (p - 1)^2 and the echelon
-    adds at most n (p - 1)^2 more; the slots are sized for
-    2 n (p - 1)^2 + p.  Once the rank reaches 0 the remaining entries are 0.
+    nonzero entries, handed to ``_echelon_packed`` as it is: only basis
+    rows are unpacked, for their entries, and none is made monic.  Basis
+    and A mod p have entries in [0, p), so a product slot is at most
+    n (p - 1)^2 and the echelon adds at most n (p - 1)^2 more; the slots
+    are sized for 2 n (p - 1)^2 + p.  Once the rank reaches 0 the remaining
+    entries are 0.
     """
     n = len(a)
-    size = _slots(2 * n * (p - 1) ** 2 + p, n)[0]
+    slots = _fp_slots(p, 2 * n * (p - 1) ** 2 + p)
+    size = slots[0]
     packed = [_pack([x % p for x in row], size, 0) for row in a]
     ranks = [n]
     products = list(packed)
     while len(ranks) <= steps:
-        image = _echelon_packed(products, p, size, n)
+        image = _echelon_packed(products, p, n, slots)
         ranks.append(len(image))
         if not image:
             break
-        products = [sum(map(mul, compress(v, v), compress(packed, v))) for v in image]
+        basis = [_unpack(t, size, n) for t in image]
+        products = [sum(map(mul, compress(v, v), compress(packed, v))) for v in basis]
     return ranks + [0] * (steps + 1 - len(ranks))
 
 

@@ -196,18 +196,22 @@ def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
     times tau, echelonised again, so no power of tau is formed over Z.
 
     For p = 2 the eigenlattice split needs the ranks of phi -+ 1 over Q.
-    They are taken over F_3 (``rank_mod_p``), which gives the same ranks:
+    One rank over F_3 (``rank_mod_p``) gives both:
 
-    - x - 1 and Phi_2(x) = x + 1 are coprime over Q, and over F_3 too,
-      because Phi_2(1) = 2 is not 0 mod 3;
-    - phi^2 = I holds over Z (checked on construction), so over either
-      field rank(phi - 1) + rank(phi + 1) = n;
+    - phi^2 = I holds over Z (checked on construction, or carried by
+      proof), and 2 is a unit over F_3 as over Q, so over either field
+      (1 + phi) / 2 and (1 - phi) / 2 are complementary idempotents and
+      rank(phi - 1) + rank(phi + 1) = n;
     - the rank mod 3 of an integer matrix is at most its rank over Q, so
-      both ranks are equal over F_3 and over Q.
+      with both sums n, both ranks are equal over F_3 and over Q;
+    - hence rank_Q(phi + 1) = n - rank_3(phi - 1), and as each of the l_2
+      blocks Z[C_2] has one +1 and one -1 eigenvector over Q,
+      dim ker(phi - 1) = plus + l_2 and dim ker(phi + 1) = minus + l_2
+      give plus = n - rank_3(tau) - l_2 and minus = rank_3(tau) - l_2.
 
-    The identities r_p = 0, l_q >= 0, sum q l_q = n and the split summing
-    to l_1 are checked and raise GModuleError when they fail; the last one
-    certifies rank_3(phi - 1) + rank_3(phi + 1) = n.
+    The identities r_p = 0, l_q >= 0 and sum q l_q = n are checked and
+    raise GModuleError when they fail; the last one is l_1 + 2 l_2 = n, so
+    plus + minus = l_1 needs no check, and a negative plus or minus raises.
     """
     p, n = action.p, action.rank
     tau = action.tau()
@@ -223,11 +227,10 @@ def jordan_profile(action: PrimeOrderAction) -> JordanProfile:
         raise GModuleError(f"Jordan blocks {blocks} do not add up to rank {n}")
     plus = minus = None
     if p == 2:
-        ker_plus = n - la.rank_mod_p(tau, 3)
-        ker_minus = n - la.rank_mod_p(la.shift_diagonal(action.phi, 1), 3)
-        plus = ker_plus - blocks[2]
-        minus = ker_minus - blocks[2]
-        if plus < 0 or minus < 0 or plus + minus != blocks[1]:
+        rank_tau = la.rank_mod_p(tau, 3)
+        plus = n - rank_tau - blocks[2]
+        minus = rank_tau - blocks[2]
+        if plus < 0 or minus < 0:
             raise GModuleError(
                 f"eigenlattice ranks (+{plus}, -{minus}) do not split l_1 = {blocks[1]}"
             )

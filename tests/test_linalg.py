@@ -125,6 +125,17 @@ def test_mat_mul_matches_dense_products(seed, a_bits, b_bits):
     assert la.mat_mul(a, b) == oracles._dense_mul(a, b)
 
 
+def test_mat_mul_refuses_inner_dimensions_that_differ():
+    """A row of a must be len(b) long: a short or long row raises rather
+    than truncating the product."""
+    with pytest.raises(ValueError, match="inner dimensions"):
+        la.mat_mul([[1, 2, 3]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="inner dimensions"):
+        la.mat_mul([[1, 2], [3, 4]], [[1, 0, 0]])
+    with pytest.raises(ValueError, match="inner dimensions"):
+        la.mat_mul([[1, 2], [3]], [[1], [1]])
+
+
 def test_mat_mul_edge_cases():
     assert la.mat_mul([], [[1, 2]]) == []  # no rows
     assert la.mat_mul([[], []], []) == [[], []]  # no inner dimension
@@ -197,10 +208,71 @@ def test_packed_echelon_equals_the_row_by_row_one(p):
 
 
 def test_echelon_cases_reach_every_slot_width():
-    """The echelon's slots hold p + columns (p - 1)^2; the cases above take
-    1-, 2-, 4- and 8-byte slots and the per-slot path beyond 8 bytes."""
-    sizes = {la._slots(p + cols * (p - 1) ** 2, cols)[0] for p in ECHELON_PRIMES for _, cols in ECHELON_SHAPES}
+    """The echelon's slots hold p + columns (p - 1)^2 and are reduced mod p
+    in place, so they are wider (``_fp_slots``); the cases above take 1-,
+    2-, 4- and 8-byte slots and the per-slot path beyond 8 bytes."""
+    sizes = {la._fp_slots(p, p + cols * (p - 1) ** 2)[0] for p in ECHELON_PRIMES for _, cols in ECHELON_SHAPES}
     assert {1, 2, 4, 8} <= sizes and max(sizes) > 8
+
+
+def _chain_bounds(p, widths=range(1, 254)):
+    """The slot bounds the F_p routines take for p at every width up to the
+    253 of the K3 Sym^2: p + w (p - 1)^2 (``echelon_mod_p``) and
+    2 w (p - 1)^2 + p (``image_ranks_mod_p``)."""
+    return {b for w in widths for b in (p + w * (p - 1) ** 2, 2 * w * (p - 1) ** 2 + p)}
+
+
+def _reduced_slots(xs, p, bound):
+    """The slots of the packed row xs after ``_echelon_packed`` reduces it:
+    as the only row it comes back reduced and as it is, or not at all if 0."""
+    slots = la._fp_slots(p, bound)
+    size = slots[0]
+    t = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in xs), "little")
+    basis = la._echelon_packed([t], p, len(xs), slots)
+    return la._unpack(basis[0], size, len(xs)) if basis else [0] * len(xs)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13, 17, 19))
+def test_slotwise_reduction_is_x_mod_p_below_every_chain_bound(p):
+    """Every x in [0, 2^h) reduces to x % p, for each h the chain's bounds
+    have: all of them side by side in one row, ascending and descending,
+    so each slot's neighbours take every value too."""
+    for h in sorted({b.bit_length() for b in _chain_bounds(p)}):
+        xs = list(range(1 << h))
+        want = [x % p for x in xs]
+        assert _reduced_slots(xs, p, (1 << h) - 1) == want, (p, h)
+        assert _reduced_slots(xs[::-1], p, (1 << h) - 1) == want[::-1], (p, h)
+
+
+@pytest.mark.parametrize("p", ((1 << 31) - 1, (1 << 61) - 1))
+def test_slotwise_reduction_at_the_boundaries_for_wide_primes(p):
+    """For the wide primes, the values next to 0, to multiples of p and to
+    the top 2^h - 1 of each chain bound reduce to x % p, mixed with seeded
+    values below 2^h."""
+    rng = Random(p)
+    for h in sorted({b.bit_length() for b in _chain_bounds(p, range(1, 41))}):
+        top = (1 << h) - 1
+        q = top // p
+        xs = [0, 1, 2, p - 2, p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 * p + 1]
+        xs += [q * p - 1, q * p, q * p + 1, (q - 1) * p, top - 1, top, top, top]
+        xs += [rng.randrange(1 << h) for _ in range(40)]
+        xs = [x for x in xs if 0 <= x <= top]
+        assert _reduced_slots(xs, p, top) == [x % p for x in xs], (p, h)
+        assert _reduced_slots(xs[::-1], p, top) == [x % p for x in xs[::-1]], (p, h)
+
+
+@pytest.mark.parametrize("p", ECHELON_PRIMES)
+def test_all_top_entries_match_the_row_by_row_echelon(p):
+    """A dense matrix of p - 1 everywhere: its basis row is all p - 1 (not
+    made monic in the chain), so each product slot in ``image_ranks_mod_p``
+    reaches n (p - 1)^2, the top of its lazy half of the bound, and every
+    later row's slots grow by (p - 1)^2 more in the echelon."""
+    for rows, cols in ((1, 1), (2, 2), (5, 5), (9, 4), (4, 9), (12, 12), (40, 40)):
+        a = [[p - 1] * cols for _ in range(rows)]
+        assert la.echelon_mod_p(a, p) == oracles.echelon_mod_p(a, p), (p, rows, cols)
+        if rows == cols:
+            assert la.image_ranks_mod_p(a, p, 4) == oracles.image_ranks_mod_p(a, p, 4)
+            assert la.left_kernel_mod_p(a, p) == oracles.left_kernel_mod_p(a, p)
 
 
 def test_find_glue_of_every_catalog_lattice_is_pinned():
