@@ -137,6 +137,54 @@ def smith_normal_form(a) -> SNF:
     return SNF(u, d, [list(col) for col in zip(*vt)])
 
 
+def hermite_rows(rows, n: int) -> int:
+    """Row Hermite form of the first n columns by the former library pass,
+    column at a time; returns the sign the row operations multiply a
+    determinant by, and rewrites ``rows`` in place.
+
+    Column by column, the smallest nonzero |entry| of column c in the rows
+    from r on (those without a pivot yet) becomes the positive pivot
+    rows[r][c].  Nearest-integer quotients clear the column below it,
+    repeating with the least remainder as pivot until it is clear, and
+    then reduce the entries above it to [-piv / 2, piv / 2).  Each swap
+    and each negated pivot row flips the sign.  Columns past n ride along
+    unreduced, so only the first n columns are canonical; with n the full
+    width the whole result is the unique Hermite form.
+    """
+    sign, r = 1, 0
+    for c in range(n):
+        while True:
+            col = [abs(row[c]) for row in rows[r:]]
+            piv = min(filter(None, col), default=0)
+            if not piv:
+                break
+            bi = col.index(piv) + r
+            if bi != r:
+                rows[r], rows[bi] = rows[bi], rows[r]
+                sign = -sign
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+                sign = -sign
+            tail, twice = rows[r][c:], 2 * piv
+            dirty = False
+            for row in rows[r + 1:]:
+                x = row[c]
+                if x:  # |x| >= piv, so q != 0
+                    q = (2 * x + piv) // twice
+                    row[c:] = [y - q * z for y, z in zip(row[c:], tail)]
+                    dirty = dirty or row[c] != 0
+            if not dirty:
+                break
+        if not piv:
+            continue
+        for row in rows[:r]:
+            q = (2 * row[c] + piv) // twice
+            if q:
+                row[c:] = [y - q * z for y, z in zip(row[c:], tail)]
+        r += 1
+    return sign
+
+
 def charpoly(rows) -> list[int]:
     """Coefficients of det(xI - A), leading 1 first, via sympy."""
     return [int(c) for c in Matrix([list(r) for r in rows]).charpoly().all_coeffs()]

@@ -366,6 +366,110 @@ def test_one_integer_elimination_serves_every_exact_result(monkeypatch):
         assert calls, name
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: la.det_bareiss([[1, 2]]),
+        lambda: la.det_bareiss([[3, 5, 7]]),
+        lambda: la.smith_normal_form([[1, 2], [3]]),
+        lambda: la.integer_coordinates([[1, 2], [3]], [[1, 2]]),
+        lambda: la.integer_coordinates([[1, 2]], [[1]]),
+        lambda: la.solve_in_rowspan([[1, 2]], [1]),
+        lambda: la.rank_rational([[1, 2], [3]]),
+    ],
+    ids=[
+        "det_of_1x2",
+        "det_of_1x3",
+        "smith_of_ragged_rows",
+        "coordinates_over_ragged_basis",
+        "coordinates_of_short_vector",
+        "rowspan_solve_of_short_vector",
+        "rank_of_ragged_rows",
+    ],
+)
+def test_entry_points_of_the_hermite_core_refuse_bad_shapes(call):
+    """A non-square determinant, ragged rows and a vector whose length is
+    not the basis width raise ValueError instead of a wrong answer (the
+    column-at-a-time pass read det [[1, 2]] as 1 and coordinates over
+    [[1, 2], [3]] as [[1, 0]])."""
+    with pytest.raises(ValueError):
+        call()
+
+
+def hermite_cases():
+    """Seeded inputs for the Hermite core: every ``SNF_SHAPES`` shape, small
+    empty, zero, wide, tall and rank-deficient matrices, sparse ones, and
+    entries up to 200 bits."""
+    rng = Random(29)
+    cases = [dependent_rows_matrix(rng, m, n, rank) for m, n, rank in SNF_SHAPES]
+    cases += [[], [[]], [[], []], la.zeros(1, 1), la.zeros(3, 4), la.zeros(4, 2)]
+    for case in range(240):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        if case % 8 == 0:
+            m, n = (1, n) if case % 16 else (m, 1)
+        rank = rng.randint(0, min(m, n))
+        if case % 3 == 0:
+            bits = rng.choice((8, 64, 200))
+            rows = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(rank)]
+            rows += [[-x for x in rng.choice(rows)] if rows else [0] * n for _ in range(m - rank)]
+            rng.shuffle(rows)
+        else:
+            rows = low_rank_matrix(rng, m, n, rank, rng.choice((1, 3, 9))) if rank else la.zeros(m, n)
+        if case % 4 == 1:
+            rows = [[x if rng.random() < 0.4 else 0 for x in row] for row in rows]
+        cases.append(rows)
+    return cases
+
+
+def hermite_pivots(rows, start):
+    """The leading columns (from column start on) of the nonzero rows, after
+    checking that rows are in Hermite form there: zero rows last, leading
+    entries positive and moving right, and every entry above a leading
+    entry p in [-p / 2, p / 2)."""
+    pivots = []
+    for i, row in enumerate(rows):
+        lead = next((c for c in range(start, len(row)) if row[c]), None)
+        if lead is None:
+            assert not any(any(r[start:]) for r in rows[i:]), rows
+            break
+        assert row[lead] > 0 and all(lead > c for c in pivots), rows
+        assert all(-row[lead] <= 2 * r[lead] < row[lead] for r in rows[:i]), rows
+        pivots.append(lead)
+    return pivots
+
+
+def test_hermite_rows_matches_the_column_pass():
+    """The row-incremental core against the column-at-a-time pass it
+    replaced (``oracles.hermite_rows``): the same first n columns, and the
+    same sign on a nonsingular square.  With an identity alongside,
+    [A | I], the sign is det U, the rows without a pivot have their
+    transform columns in Hermite form, every pivot row is reduced at those
+    pivots, and so the whole result is the Hermite form of [A | I] that
+    the column pass gives when every column is a Hermite column."""
+    for a in hermite_cases():
+        m, n = len(a), len(a[0]) if a else 0
+        nonsingular = m == n and oracles.det(a) != 0
+        for extra in (0, m):
+            rows = [list(row) + [int(i == j) for j in range(extra)] for i, row in enumerate(a)]
+            ref = [list(row) for row in rows]
+            full = [list(row) for row in rows]
+            sign, ref_sign = la._hermite_rows(rows, n), oracles.hermite_rows(ref, n)
+            assert [row[:n] for row in rows] == [row[:n] for row in ref], a
+            if nonsingular:
+                assert sign == ref_sign, a
+            if not extra:
+                continue
+            assert sign == oracles.det([row[n:] for row in rows]), a
+            rank = len(hermite_pivots([row[:n] for row in rows], 0))
+            kernel = hermite_pivots([row[n:] for row in rows[rank:]], 0)
+            assert len(kernel) == m - rank, a
+            for row in rows[:rank]:
+                for c, krow in zip(kernel, rows[rank:]):
+                    assert -krow[n + c] <= 2 * row[n + c] < krow[n + c], a
+            oracles.hermite_rows(full, n + extra)
+            assert rows == full, a
+
+
 @given(st.integers(0, 10**6), st.sampled_from(("integral", "rational", "outside")))
 @settings(max_examples=80, deadline=None)
 def test_solve_in_rowspan_matches_sympy(seed, case):
@@ -610,17 +714,27 @@ def assert_smith_form(a, res):
     assert abs(oracles.det(res.u)) == abs(oracles.det(res.v)) == 1
 
 
+# transform bits allowed per row or column of A: the row-incremental Hermite
+# passes reach at most 8.8 on seeds 1 to 5 and 2024 of the generator below
+# (352 bits at 40 x 40), so 11 leaves a quarter for margin; column-at-a-time
+# passes reached 11.7 and the former bound was 16
+SNF_BITS_PER_ROW = 11
+
+
+def transform_bits(res) -> int:
+    return max(abs(x).bit_length() for t in (res.u, res.v) for row in t for x in row)
+
+
 def test_smith_form_transforms_stay_bounded_up_to_40():
     """U A V = D with D a nonnegative divisibility chain, U and V unimodular,
-    the divisors sympy's, and no transform entry longer than 16 bits per row
-    or column of A.  The bound is set from this elimination, alternating
-    row and column Hermite passes and then the divisibility step (largest
-    case: 343 bits at 40 x 40, 8.6 per row; up to 11.7 per row on seeds 1
-    to 5); a Smith pivot loop alone reached 3144 bits on the same matrix,
-    and with floor quotients x // piv 4611.  sympy's Smith form takes
-    1-20 s on a full-rank 40 x 40 input, so there the divisors are checked
-    through their product |det A|; with D diagonal and U, V unimodular that
-    already makes D the Smith form."""
+    the divisors sympy's, and no transform entry longer than
+    ``SNF_BITS_PER_ROW`` bits per row or column of A, here (largest case:
+    343 bits at 40 x 40, 8.6 per row) and on seeds 1 to 5 of the same
+    generator, where only the bound is checked.  A Smith pivot loop alone
+    reached 3144 bits on the 40 x 40, and with floor quotients x // piv
+    4611.  sympy's Smith form takes 1-20 s on a full-rank 40 x 40 input, so
+    there the divisors are checked through their product |det A|; with D
+    diagonal and U, V unimodular that already makes D the Smith form."""
     rng = Random(2024)
     for m, n, rank in SNF_SHAPES:
         a = dependent_rows_matrix(rng, m, n, rank)
@@ -635,8 +749,13 @@ def test_smith_form_transforms_stay_bounded_up_to_40():
             assert prod(divisors) == abs(oracles.det(a))
         else:
             assert divisors == oracles.snf_divisors(a)
-        bits = max(abs(x).bit_length() for t in (res.u, res.v) for row in t for x in row)
-        assert bits <= 16 * max(m, n), (m, n, rank, bits)
+        bits = transform_bits(res)
+        assert bits <= SNF_BITS_PER_ROW * max(m, n), (m, n, rank, bits)
+    for seed in range(1, 6):
+        rng = Random(seed)
+        for m, n, rank in SNF_SHAPES:
+            bits = transform_bits(la.smith_normal_form(dependent_rows_matrix(rng, m, n, rank)))
+            assert bits <= SNF_BITS_PER_ROW * max(m, n), (seed, m, n, rank, bits)
 
 
 def test_det_and_rank_match_the_oracles_on_every_benchmark_shape():
