@@ -47,7 +47,6 @@ from .lattice_core import (
     parse_lattice_expr,
     rescale,
     smith_normal_form,
-    sublattice,
 )
 from .normality import (
     FixedComponent,

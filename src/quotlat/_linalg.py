@@ -12,8 +12,8 @@ and sparse and dense operands take the same route.  Slots are 1, 2, 4 or
 8 bytes wide, as narrow as the entry bound allows, and read through
 ``array``; wider bounds take wider slots read one by one.  ``mat_pow``
 and ``charpoly`` multiply through it.
-Elimination has two cores: over Z, ``_hermite_rows``; over F_p,
-``_echelon_packed``.
+Elimination has two cores: over Z, ``_hermite_rows``, which gives every
+lattice basis; over F_p, ``_echelon_packed``, which gives ranks.
 ``_hermite_rows`` is a row Hermite form by row operations that returns
 their sign.  It adds the rows one at a time to the Hermite form of the
 rows before them, in their order (Kannan-Bachem 1979), so no entry grows
@@ -27,26 +27,27 @@ The column-at-a-time pass it replaced is ``tests/oracles.hermite_rows``.
 ``integer_coordinates`` reduce vectors against H = U*B and multiply by U
 (Kannan-Bachem 1979; Cohen, GTM 138, 2.4); ``integer_coordinates`` is
 the one route to an integral solve (an integral inverse is the
-coordinates of I).  The Smith normal form alternates it on rows and
-columns until D is diagonal, then one gcd step per pair makes the
-diagonal a divisibility chain.  It keeps the transforms U and V: kernels
-are read off the columns of V, and row-span bases off U*A = D*V^-1, so
-it never forms V^-1.  In ``_echelon_packed`` rows are packed ints with
-nonnegative slots reduced mod p lazily, and each new basis row is added
-to every later row in one big-integer multiply-add.  A row is reduced
-mod p whole, never unpacked: for slots at most B, k the least with
+coordinates of I).  Bases are Hermite forms (Cohen, GTM 138, 2.4.3):
+``row_span_basis`` (and ``image_basis``) the nonzero rows of that of A,
+``kernel_basis`` the transform parts of the rows of that of [A^T | I]
+whose A^T part is zero.  The Smith normal form gives invariant factors:
+it alternates the Hermite pass on rows and columns until D is diagonal,
+then one gcd step per pair makes the diagonal a divisibility chain.  It
+keeps the transforms U and V and never forms V^-1.
+In ``_echelon_packed`` rows are packed ints with nonnegative slots
+reduced mod p lazily, and each new basis row is added to every later row
+in one big-integer multiply-add.  A row is reduced mod p whole, never
+unpacked: for slots at most B, k the least with
 B (m p - 2^k) < 2^k and m = ceil(2^k / p), t - p ((t m >> k) & low) is
 every slot mod p (Granlund-Montgomery 1994, Thm 4.2) once each slot has
 (B m).bit_length() bits, so that x m carries nothing into the next slot,
 and ``low`` keeps the low w - k bits of each w-bit slot.  The quotient is
 exact because x (m p - 2^k) <= B (m p - 2^k) < 2^k (``_fp_slots``).
-The reduced row is the basis row as it is, not made monic.
-``echelon_mod_p``, ``rank_mod_p`` and ``left_kernel_mod_p`` pack their
-rows into it and scale only the basis rows they return to a leading 1,
-and the image chain of ``image_ranks_mod_p`` hands it its packed
-products and unpacks only basis rows, for the next products;
-``rank_mod_p`` of phi - 1 at 3 gives both +-1 eigenlattice ranks of an
-involution over Q (the proof is in ``gmodule.jordan_profile``).
+The basis rows stay as they are, never made monic: ``rank_mod_p``
+counts them, and the image chain of ``image_ranks_mod_p`` hands the
+echelon its packed products and unpacks only basis rows, for the next
+products.  ``rank_mod_p`` of phi - 1 at 3 gives both +-1 eigenlattice
+ranks of an involution over Q (the proof is in ``gmodule.jordan_profile``).
 The inertia of a symmetric matrix is read off its integer characteristic
 polynomial (``charpoly``, Faddeev-LeVerrier) by Descartes' rule of signs.
 """
@@ -277,50 +278,14 @@ def _echelon_packed(rows: list[int], p: int, n: int, slots: tuple[int, int, int]
     return basis
 
 
-def _echelon_basis_packed(a, p: int) -> tuple[list[int], int, int]:
-    """(basis, size, width): the packed ``_echelon_packed`` basis of the rows
-    of an integer matrix mod p, its slot size and the number of columns.
-    Entries are packed mod p into slots for p + width (p - 1)^2
-    (``_echelon_packed``'s bound)."""
+def rank_mod_p(a, p: int) -> int:
+    """Rank of a matrix over F_p: the size of the ``_echelon_packed`` basis
+    of its rows mod p, packed into slots for p + width (p - 1)^2 (the
+    echelon's bound)."""
     width = len(a[0]) if a else 0
     slots = _fp_slots(p, p + width * (p - 1) ** 2)
-    size = slots[0]
-    rows = [_pack([x % p for x in row], size, 0) if any(row) else 0 for row in a]
-    return _echelon_packed(rows, p, width, slots), size, width
-
-
-def _monic(t: int, p: int, size: int, n: int) -> list[int]:
-    """The slots of a packed row with slots in [0, p), scaled to a leading 1."""
-    row = _unpack(t, size, n)
-    inv = pow(next(filter(None, row)), -1, p)
-    return row if inv == 1 else [x * inv % p for x in row]
-
-
-def echelon_mod_p(a, p: int) -> list[list[int]]:
-    """Echelon basis of the F_p row space of an integer matrix.
-
-    Each basis row has entries in [0, p), a leading 1 at its pivot column,
-    and zeros at the pivot columns of the basis rows before it.  The rows
-    are those of the row-by-row loop: each row in turn is reduced against
-    the basis rows found so far, in the order they were found, adding
-    p - c times basis row t for its entry c mod p at t's pivot.
-    ``_echelon_packed`` adds a multiple of basis row t to every later row
-    as soon as t is found, and at that moment each later row has received
-    exactly basis rows 1 .. t - 1 (all found on earlier rows).  Its basis
-    row t is the loop's times the unit v at t's pivot, and it adds
-    -x v^-1 times it, which is p - c times the loop's row mod p.  Every row
-    thus receives the same basis rows in the same order with the same
-    coefficients mod p, its slots are congruent to the loop's entries, and
-    the rows returned, scaled to a leading 1 (``_monic``), are identical.
-    """
-    basis, size, width = _echelon_basis_packed(a, p)
-    return [_monic(t, p, size, width) for t in basis]
-
-
-def rank_mod_p(a, p: int) -> int:
-    """Rank of a matrix over F_p: the size of its echelon basis, whose rows
-    are not made monic."""
-    return len(_echelon_basis_packed(a, p)[0])
+    rows = [_pack([x % p for x in row], slots[0], 0) if any(row) else 0 for row in a]
+    return len(_echelon_packed(rows, p, width, slots))
 
 
 def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
@@ -351,19 +316,6 @@ def image_ranks_mod_p(a, p: int, steps: int) -> list[int]:
         basis = [_unpack(t, size, n) for t in image]
         products = [sum(map(mul, compress(v, v), compress(packed, v))) for v in basis]
     return ranks + [0] * (steps + 1 - len(ranks))
-
-
-def left_kernel_mod_p(a, p: int) -> list[list[int]]:
-    """Basis of {x : x A = 0} over F_p for a square A, entries in [0, p).
-
-    The right halves of the ``echelon_mod_p`` rows of [A | I] whose left
-    half is zero; for symmetric A this is ker(A mod p).
-    """
-    n = len(a)
-    echelon = echelon_mod_p(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], p
-    )
-    return [row[n:] for row in echelon if not any(row[:n])]
 
 
 def _integral_row(row) -> list[int]:
@@ -621,7 +573,7 @@ def smith_normal_form(a) -> SNFResult:
     D is unique, and so is each pass's Hermite form of [D | U] or
     [D^T | V^T], so U and V are fixed by A, not by the order of the
     elimination.  Rows of different lengths raise ValueError.  V^-1 is not
-    formed: U*A = D*V^-1 gives its rows where D is nonzero.
+    formed.
     """
     m, n = len(a), _row_length(a)
     d, u, vt = a, identity(m), identity(n)
@@ -662,17 +614,19 @@ def elementary_divisors(a) -> list[int]:
 
 
 def kernel_basis(a) -> Matrix:
-    """Saturated basis (as rows) of the integer kernel of x -> A*x."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    res = smith_normal_form(a)
-    diag = res.diagonal
-    rows = []
-    for j in range(n):
-        dj = diag[j] if j < len(diag) else 0
-        if dj == 0:
-            rows.append([res.v[i][j] for i in range(n)])
-    return rows
+    """Saturated basis (as rows) of the integer kernel of x -> A*x.
+
+    Row j of [A^T | I] is (column j of A, e_j), so a row (0, x) of its
+    Hermite form has A*x = 0, and as the transform is unimodular every
+    integer kernel vector x gives such a row (0, x) = x [A^T | I], a
+    combination of the rows with zero A^T part alone.  Their transform
+    parts are thus a basis, which ``_hermite_rows`` leaves in Hermite form,
+    fixed by A.  Ragged rows raise ValueError.
+    """
+    m, n = len(a), _row_length(a)
+    rows = list(map(list.__add__, map(list, zip(*a)), identity(n)))
+    _hermite_rows(rows, m)
+    return [row[m:] for row in rows if not any(row[:m])]
 
 
 def image_basis(a) -> Matrix:
@@ -681,13 +635,11 @@ def image_basis(a) -> Matrix:
 
 
 def row_span_basis(a) -> Matrix:
-    """Z-basis (as rows) of the subgroup of Z^n generated by the rows of A.
-
-    U*A*V = D gives U*A = D*V^-1: row i of U*A is d_i times row i of the
-    unimodular V^-1, so its rows with d_i != 0 are a basis of the row span.
-    """
-    res = smith_normal_form(a)
-    return [row for row, di in zip(mat_mul(res.u, a), res.diagonal) if di]
+    """Z-basis (as rows) of the subgroup of Z^n generated by the rows of A:
+    the nonzero rows of its Hermite form.  Ragged rows raise ValueError."""
+    rows = list(map(list, a))
+    _hermite_rows(rows, _row_length(rows))
+    return [row for row in rows if any(row)]
 
 
 def charpoly(a) -> list[int]:

@@ -24,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .gmodule import GModuleError, PrimeOrderAction, _is_prime, jordan_profile
+from .gmodule import GModuleError, PrimeOrderAction, jordan_profile
 from .hilb2_ring import (
     SIGMA,
     H2Class,
@@ -35,6 +35,7 @@ from .hilb2_ring import (
 from .lattice_core import (
     GramLattice,
     LatticeError,
+    _is_prime,
     invariant_summary,
     parse_lattice_expr,
     smith_normal_form,

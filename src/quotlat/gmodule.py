@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import _linalg as la
 from ._record import record
-from .lattice_core import _freeze, _p_power_log, direct_sum
+from .lattice_core import _freeze, _is_prime, _p_power_log, direct_sum
 
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -43,17 +43,6 @@ class FormNotPreserved(GModuleError):
 
 class HypothesesNotMet(GModuleError):
     """Neither the degeneration flag nor the vanishing conditions hold."""
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @record

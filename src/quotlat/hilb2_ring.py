@@ -33,8 +33,7 @@ from operator import mul
 
 from . import _linalg as la
 from ._record import record
-from .gmodule import _is_prime
-from .lattice_core import GramLattice, _freeze
+from .lattice_core import GramLattice, _freeze, _is_prime
 
 FUJIKI_CONSTANT = 3
 DELTA_SQUARE = -2
@@ -83,8 +82,9 @@ class H4Class:
 class HilbertSquare:
     """Exact cohomology ring data of S^[2] for a K3 intersection form.
 
-    The input Gram matrix must be the full unimodular even intersection
-    form on H^2(S,Z); the diagonal class coefficients mu are its inverse.
+    The input Gram matrix must be the full unimodular even symmetric
+    intersection form on H^2(S,Z), else ValueError; the diagonal class
+    coefficients mu are its inverse.
     """
 
     def __init__(self, gram):
@@ -98,6 +98,8 @@ class HilbertSquare:
             raise ValueError("H^2(S) must be unimodular")
         if any(g % 2 for g in (self.gram[i][i] for i in range(self.n))):
             raise ValueError("H^2(S) must be even")
+        if not la.is_symmetric(self.gram):
+            raise ValueError("H^2(S) must be symmetric")
         self.mu = mu
         # H^4 basis layout: sigma, q2(k), q1q1(k < m), m11(k)
         self._q2_at = 1

@@ -5,9 +5,9 @@ matrix.  All arithmetic is exact (Python integers and fractions): invariants
 are rank, signed determinant, signature and the discriminant group read off
 a Smith normal form.  The rest of the package builds on rescaled duals,
 direct sums, Gauss reduction of definite binary forms and a parser for
-direct-sum lattice expressions.  Finite-index sublattices and overlattices
-obtained by dividing glue vectors by a prime are exported for callers of the
-library; nothing in the package itself uses them.
+direct-sum lattice expressions.  Overlattices obtained by dividing glue
+vectors by a prime are exported for callers of the library; nothing in the
+package itself uses them.
 """
 
 from __future__ import annotations
@@ -115,23 +115,6 @@ class GramLattice:
         return la.det_bareiss(self.gram)
 
 
-@record
-class SublatticeEmbedding:
-    """Finite or full-rank sublattice spanned by integer rows in an ambient lattice."""
-
-    ambient: GramLattice
-    basis_rows: tuple[tuple[int, ...], ...]
-    index: int | None  # |det T| when T is square, else None
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis_rows", _freeze(self.basis_rows))
-
-    @property
-    def lattice(self) -> GramLattice:
-        t = self.basis_rows
-        return GramLattice(la.mat_mul(la.mat_mul(t, self.ambient.gram), la.transpose(t)))
-
-
 def smith_normal_form(matrix) -> tuple[tuple, tuple, tuple]:
     """Public SNF: returns (U, D, V) with U*A*V = D, det U, det V = +-1.
 
@@ -186,17 +169,15 @@ def dual_rescaled(lattice: GramLattice, p: int) -> GramLattice:
     return GramLattice(scaled)
 
 
-def sublattice(lattice: GramLattice, rows) -> SublatticeEmbedding:
-    """Sublattice spanned by the given coordinate rows (must be independent)."""
-    t = list(rows)
-    if not t:
-        raise LatticeError("empty basis")
-    if any(len(r) != lattice.rank for r in t):
-        raise LatticeError("row length does not match ambient rank")
-    if la.rank_rational(t) != len(t):
-        raise LatticeError("basis rows are linearly dependent")
-    index = abs(la.det_bareiss(t)) if len(t) == lattice.rank else None
-    return SublatticeEmbedding(ambient=lattice, basis_rows=t, index=index)
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def _p_power_log(value: int, p: int) -> int | None:
@@ -213,10 +194,14 @@ def _p_power_log(value: int, p: int) -> int | None:
 def overlattice_divide(lattice: GramLattice, vectors, p: int) -> GramLattice:
     """Overlattice generated by L and v/p for each glue vector v.
 
-    Every v must satisfy v/p in L^vee (all pairings with L divisible by p).
-    The result must again be an integral lattice; with m independent adjoined
-    classes, discr(out) * p^(2m) = discr(L), which is checked (IndexLawError).
+    p must be prime (LatticeError), and every v must satisfy v/p in L^vee
+    (all pairings with L divisible by p).  The result must again be an
+    integral lattice; with m independent adjoined classes,
+    discr(out) * p^(2m) = discr(L), which is checked (IndexLawError).  As
+    |det B| divides p^n for the prime p, p^n / |det B| is a power of p.
     """
+    if not _is_prime(p):
+        raise LatticeError(f"{p} is not prime")
     n = lattice.rank
     g = lattice.gram
     vecs = [list(v) for v in vectors]
@@ -246,8 +231,6 @@ def overlattice_divide(lattice: GramLattice, vectors, p: int) -> GramLattice:
     if idx_num % db:
         raise IndexLawError(f"|det| {db} of the glued basis does not divide p^n")
     m = _p_power_log(idx_num // db, p)
-    if m is None:
-        raise IndexLawError("overlattice index is not a p-power")
     out_lattice = GramLattice(out)
     if out_lattice.determinant * p ** (2 * m) != lattice.determinant:
         raise IndexLawError("discr(out) * p^(2m) differs from discr(L)")

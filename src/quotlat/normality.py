@@ -40,11 +40,10 @@ from .gmodule import (
     SUPPORTED_PRIMES,
     CohomologyProfile,
     UnsupportedPrime,
-    _is_prime,
     free_torsion_rank,
     vanishing_conditions,
 )
-from .lattice_core import NonIntegralResult
+from .lattice_core import NonIntegralResult, _is_prime
 from .toric_weight import WeightValue, canonical_exponents, point_type, weight_lookup
 
 __all__ = [

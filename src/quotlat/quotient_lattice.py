@@ -18,7 +18,6 @@ from math import gcd, lcm
 
 from . import _linalg as la
 from ._record import record
-from .gmodule import _is_prime
 from .lattice_core import (
     DegenerateForm,
     GramLattice,
@@ -26,6 +25,7 @@ from .lattice_core import (
     NotDefinite,
     NotInDual,
     _freeze,
+    _is_prime,
     _p_power_log,
     binary_reduce,
     discriminant_group,
@@ -196,16 +196,20 @@ def bb_quotient(lattice: GramLattice, p: int, glue: GlueSpec) -> QuotientResult:
 def find_glue(lattice: GramLattice, p: int) -> GlueSpec:
     """Glue recipe dividing the whole p-part of the discriminant group.
 
-    The divisible classes are x/p for x in the sublattice pairing into pZ;
-    a basis of that sublattice, all rows divided, presents the maximal
-    overlattice.  m comes out as the F_p-kernel dimension of the Gram.
+    The divisible classes are x/p for x in the sublattice of x with
+    x G in pZ^n; a basis of that sublattice, all rows divided, presents
+    the maximal overlattice.  The basis is the x parts of the kernel of
+    [G | pI], the (x, z) with G x + p z = 0 (G = G^T).  That kernel has
+    rank n and dropping z is injective, because x = 0 forces p z = 0, so
+    the x parts are a basis, in Hermite form as the kernel's basis is
+    (``kernel_basis``).  m comes out as the F_p-kernel dimension of the
+    Gram.
     """
     if not _is_prime(p):
         raise LatticeError(f"{p} is not prime")
     n = lattice.rank
-    stacked = la.left_kernel_mod_p(lattice.gram, p) + [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    basis = la.row_span_basis(stacked)
-    return GlueSpec(basis, (True,) * n)
+    stacked = [list(row) + [p * (i == j) for j in range(n)] for i, row in enumerate(lattice.gram)]
+    return GlueSpec([x[:n] for x in la.kernel_basis(stacked)], (True,) * n)
 
 
 @record

@@ -21,8 +21,7 @@ import math
 
 from . import _linalg as la
 from ._record import record
-from .gmodule import _is_prime
-from .lattice_core import _p_power_log
+from .lattice_core import _is_prime, _p_power_log
 
 Vec2 = tuple[int, int]
 

@@ -271,6 +271,13 @@ def test_primitivity_certificate_rejects_a_non_prime(p):
         h2_primitivity_certificate(S_GRAM, p)
 
 
+def test_hilbert_square_rejects_a_gram_that_is_not_symmetric():
+    """[[0, 1], [-1, 0]] is unimodular with an even diagonal, but it would
+    give bb(gamma0, gamma1) = 1 and bb(gamma1, gamma0) = -1."""
+    with pytest.raises(ValueError, match="must be symmetric"):
+        HilbertSquare([[0, 1], [-1, 0]])
+
+
 def test_hilbert_square_rejects_odd_rank_input():
     with pytest.raises(Exception):
         HilbertSquare([*parse_lattice_expr("A2").gram, [1]])

@@ -21,7 +21,6 @@ from quotlat import (
     parse_lattice_expr,
     rescale,
     smith_normal_form,
-    sublattice,
 )
 from quotlat import _linalg as la
 from quotlat.lattice_core import (
@@ -185,12 +184,6 @@ def test_dual_rescaled_is_an_involution(expr, p):
     assert dual_rescaled(dual_rescaled(lat, p), p).gram == lat.gram
 
 
-def test_sublattice_gram():
-    amb = parse_lattice_expr("U + A2")
-    emb = sublattice(amb, [[1, 1, 0, 0], [0, 0, 1, 0]])
-    assert emb.lattice.gram == ((2, 0), (0, -2))
-
-
 def test_overlattice_divide_hand_example():
     # diag(4, 4) with (f1 + f2)/2 adjoined: index 2, determinant 16 -> 4
     lat = GramLattice(((4, 0), (0, 4)))
@@ -210,6 +203,15 @@ def test_overlattice_divide_rejects_nonintegral_result():
         overlattice_divide(GramLattice(((2, 0), (0, 2))), [(1, 0)], 2)
 
 
+@pytest.mark.parametrize("p", [1, 4])
+def test_overlattice_divide_refuses_an_order_that_is_not_prime(p):
+    """An order that is not prime is refused before any work: the p-power
+    count of the index never ends for p = 1, and for p = 4 this glue has
+    index 2, no power of p."""
+    with pytest.raises(LatticeError, match=f"{p} is not prime"):
+        overlattice_divide(GramLattice(((4, 0), (0, 4))), [(2, 2)], p)
+
+
 def test_invariant_summary_raises_on_zero_inertia(monkeypatch):
     monkeypatch.setattr(la, "signature_exact", lambda rows: (1, 0, 1))
     with pytest.raises(DegenerateForm, match="zero eigenvalues"):
@@ -218,7 +220,7 @@ def test_invariant_summary_raises_on_zero_inertia(monkeypatch):
 
 @pytest.mark.parametrize(
     "p, fake_det, message",
-    [(2, 3, "does not divide"), (4, 8, "not a p-power"), (2, 1, "discr")],
+    [(2, 3, "does not divide"), (2, 1, "discr")],
 )
 def test_overlattice_divide_raises_on_broken_index_laws(monkeypatch, p, fake_det, message):
     # the honest basis of pL + Z(p/2, p/2) has |det| p^2 / 2

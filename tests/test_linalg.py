@@ -5,6 +5,7 @@ import inspect
 import json
 import shlex
 from fractions import Fraction
+from itertools import chain
 from math import comb, prod
 from pathlib import Path
 from random import Random
@@ -24,6 +25,7 @@ from quotlat import (
     reiner_action,
     weight_dim2,
 )
+from quotlat.lattice_core import GramLattice
 from quotlat.quotient_lattice import find_glue
 from quotlat.scenario import load_catalog
 
@@ -77,7 +79,7 @@ def test_rank_mod_p_matches_sympy(p, seed):
     m = low_rank_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)), spread=p)
     if seed % 2:
         m = [[x if rng.random() < 0.2 else 0 for x in row] for row in m]
-    basis = la.echelon_mod_p(m, p)
+    basis = _monic_echelon(m, p)
     assert len(basis) == la.rank_mod_p(m, p) == oracles.rank_mod_p(m, p)
     # distinct pivots with a leading 1, entries reduced mod p
     leads = [next(j for j, x in enumerate(row) if x) for row in basis]
@@ -188,23 +190,44 @@ def _seeded_matrix(rng, rows, cols, spread, fill):
     return m
 
 
+def _monic_echelon(a, p):
+    """The ``_echelon_packed`` basis of the rows of a mod p, packed as
+    ``rank_mod_p`` packs them, unpacked and scaled to a leading 1.
+
+    It is the basis of the row-by-row loop (``oracles.echelon_mod_p``), row
+    for row: the packed echelon adds a multiple of basis row t to every
+    later row as soon as t is found, and at that moment each later row has
+    received exactly basis rows 1 .. t - 1, all found on earlier rows.  Its
+    basis row t is the loop's times the unit v at t's pivot, and it adds
+    -x v^-1 times it, which is p - c times the loop's row mod p.  Every row
+    thus receives the same basis rows in the same order with the same
+    coefficients mod p, so its slots are congruent to the loop's entries.
+    """
+    width = len(a[0]) if a else 0
+    slots = la._fp_slots(p, p + width * (p - 1) ** 2)
+    size = slots[0]
+    rows = [la._pack([x % p for x in row], size, 0) if any(row) else 0 for row in a]
+    basis = [la._unpack(t, size, width) for t in la._echelon_packed(rows, p, width, slots)]
+    return [[x * pow(next(filter(None, row)), -1, p) % p for x in row] for row in basis]
+
+
 @pytest.mark.parametrize("p", ECHELON_PRIMES)
 def test_packed_echelon_equals_the_row_by_row_one(p):
-    """echelon_mod_p, rank_mod_p, image_ranks_mod_p and left_kernel_mod_p
-    against the row-by-row echelon of ``oracles``, row for row."""
+    """The packed echelon (``_monic_echelon``), rank_mod_p and
+    image_ranks_mod_p against the row-by-row echelon of ``oracles``, row
+    for row."""
     rng = Random(p)
     for rows, cols in ECHELON_SHAPES:
         for spread in (1, p, 10**6):
             for fill in (0.1, 0.5, 1.0):
                 a = _seeded_matrix(rng, rows, cols, spread, fill)
-                assert la.echelon_mod_p(a, p) == oracles.echelon_mod_p(a, p), (a, p)
+                assert _monic_echelon(a, p) == oracles.echelon_mod_p(a, p), (a, p)
                 assert la.rank_mod_p(a, p) == len(oracles.echelon_mod_p(a, p))
                 if rows == cols and cols < 300:
                     steps = p + 1 if p < 20 else 4
                     assert la.image_ranks_mod_p(a, p, steps) == oracles.image_ranks_mod_p(a, p, steps)
-                    assert la.left_kernel_mod_p(a, p) == oracles.left_kernel_mod_p(a, p)
-    assert la.echelon_mod_p([], p) == []
-    assert la.echelon_mod_p([[0, 0], [p, -p]], p) == []
+    assert _monic_echelon([], p) == _monic_echelon([[0, 0], [p, -p]], p) == []
+    assert la.rank_mod_p([], p) == la.rank_mod_p([[0, 0], [p, -p]], p) == 0
 
 
 def test_echelon_cases_reach_every_slot_width():
@@ -217,7 +240,7 @@ def test_echelon_cases_reach_every_slot_width():
 
 def _chain_bounds(p, widths=range(1, 254)):
     """The slot bounds the F_p routines take for p at every width up to the
-    253 of the K3 Sym^2: p + w (p - 1)^2 (``echelon_mod_p``) and
+    253 of the K3 Sym^2: p + w (p - 1)^2 (``rank_mod_p``) and
     2 w (p - 1)^2 + p (``image_ranks_mod_p``)."""
     return {b for w in widths for b in (p + w * (p - 1) ** 2, 2 * w * (p - 1) ** 2 + p)}
 
@@ -269,28 +292,27 @@ def test_all_top_entries_match_the_row_by_row_echelon(p):
     later row's slots grow by (p - 1)^2 more in the echelon."""
     for rows, cols in ((1, 1), (2, 2), (5, 5), (9, 4), (4, 9), (12, 12), (40, 40)):
         a = [[p - 1] * cols for _ in range(rows)]
-        assert la.echelon_mod_p(a, p) == oracles.echelon_mod_p(a, p), (p, rows, cols)
+        assert _monic_echelon(a, p) == oracles.echelon_mod_p(a, p), (p, rows, cols)
         if rows == cols:
             assert la.image_ranks_mod_p(a, p, 4) == oracles.image_ranks_mod_p(a, p, 4)
-            assert la.left_kernel_mod_p(a, p) == oracles.left_kernel_mod_p(a, p)
 
 
 def test_find_glue_of_every_catalog_lattice_is_pinned():
-    """find_glue reads left_kernel_mod_p and row_span_basis.  Each
-    transform is checked to span the lattice of its generators, the rows K
-    of left_kernel_mod_p(gram, p) and p I: every generator has integer
-    coordinates over the transform rows, and every transform row has
-    integer coordinates over the generators, which (as p I is among them)
-    means its residue mod p lies in the F_p span of K.  The digest pins
-    that lattice through its Hermite normal form (sympy's) and the divided
-    flags, so it does not depend on which basis the Smith form's U gives."""
+    """Each find_glue transform is checked to span the lattice of its
+    generators, the rows K of oracles.left_kernel_mod_p(gram, p) and p I:
+    every generator has integer coordinates over the transform rows, and
+    every transform row has integer coordinates over the generators, which
+    (as p I is among them) means its residue mod p lies in the F_p span of
+    K.  The digest pins that lattice through its Hermite normal form
+    (sympy's) and the divided flags, so it does not depend on which basis
+    find_glue returns."""
     glue = []
     for s in load_catalog():
         if s.invariant is None:
             continue
         spec = find_glue(s.invariant, s.prime)
         p, n = s.prime, s.invariant.rank
-        kernel = la.left_kernel_mod_p(s.invariant.gram, p)
+        kernel = oracles.left_kernel_mod_p(s.invariant.gram, p)
         generators = kernel + [[p * (i == j) for j in range(n)] for i in range(n)]
         assert la.integer_coordinates(spec.transform, generators) is not None, s.name
         k = oracles.rank_mod_p(kernel, p) if kernel else 0
@@ -509,8 +531,12 @@ def test_solve_in_rowspan_edge_cases():
             oracles.fraction_solve_in_rowspan(basis, basis[0])
 
 
-def test_left_kernel_mod_p_is_the_kernel():
-    """Every returned vector v has G v = 0 mod p and they span ker(G mod p)."""
+def test_find_glue_of_seeded_grams_is_the_glue_lattice():
+    """Every transform row x has x G in pZ^n, |det| of the transform is
+    p^(n - k) for the F_p kernel dimension k, and the transform spans the
+    lattice of the rows K of oracles.left_kernel_mod_p(G, p) and p I: every
+    generator has integer coordinates over the transform rows, and every
+    transform row lies in the F_p span of K."""
     rng = Random(2024)
     for _ in range(400):
         p = rng.choice((2, 3, 5, 7))
@@ -519,11 +545,15 @@ def test_left_kernel_mod_p_is_the_kernel():
         for i in range(n):
             for j in range(i, n):
                 g[i][j] = g[j][i] = rng.randint(-p, p) if rng.random() < 0.6 else 0
-        kernel = la.left_kernel_mod_p(g, p)
-        assert all(x % p == 0 for v in kernel for x in la.mat_mul([v], g)[0]), (g, p)
-        assert len(kernel) == n - oracles.rank_mod_p(g, p)
-        assert not kernel or oracles.rank_mod_p(kernel, p) == len(kernel)
-        assert all(0 <= x < p for v in kernel for x in v)
+        t = find_glue(GramLattice(g), p).transform
+        assert all(x % p == 0 for x in chain.from_iterable(la.mat_mul(t, g))), (g, p)
+        kernel = oracles.left_kernel_mod_p(g, p)
+        k = len(kernel)
+        assert k == n - oracles.rank_mod_p(g, p)
+        assert abs(oracles.det(t)) == p ** (n - k), (g, p)
+        generators = kernel + [[p * (i == j) for j in range(n)] for i in range(n)]
+        assert la.integer_coordinates(t, generators) is not None, (g, p)
+        assert all(oracles.rank_mod_p(kernel + [list(x)], p) == k for x in t), (g, p)
 
 
 def test_integer_coordinates_match_per_vector_solves():
@@ -910,10 +940,8 @@ CONTRACT_CALLS = {
     "is_symmetric": lambda m, s: {"m": la.is_symmetric(m), "s": la.is_symmetric(s)},
     "shift_diagonal": lambda m, s: la.shift_diagonal(m, -1),
     "mat_pow": lambda m, s: {1: la.mat_pow(m, 1), 3: la.mat_pow(m, 3)},
-    "echelon_mod_p": lambda m, s: la.echelon_mod_p(m, 3),
     "rank_mod_p": lambda m, s: la.rank_mod_p(m, 5),
     "image_ranks_mod_p": lambda m, s: la.image_ranks_mod_p(m, 3, 4),
-    "left_kernel_mod_p": lambda m, s: la.left_kernel_mod_p(s, 2),
     "det_bareiss": lambda m, s: la.det_bareiss(m),
     "rank_rational": lambda m, s: la.rank_rational(m),
     "solve_in_rowspan": lambda m, s: la.solve_in_rowspan(m, s[0]),

@@ -23,7 +23,6 @@ from quotlat import (
     load_catalog,
     parse_lattice_expr,
     reiner_action,
-    sublattice,
     weight_solve,
 )
 from quotlat._record import factory, record, replace
@@ -54,9 +53,6 @@ def _exercise():
     hilb.cup(hilb.gamma(1), hilb.gamma(2))
     for expr in ("U + A2", "E8(-1)"):
         invariant_summary(parse_lattice_expr(expr))
-    u = parse_lattice_expr("U")
-    sublattice(u, [[1, 1]])
-    sublattice(u, [[2, 0], [0, 1]])
     weight_dim2(5, 2)
     weight_dim2(7, 3)
     for s in load_catalog():
@@ -112,7 +108,7 @@ def fields_of(obj, names) -> dict:
 
 
 def test_every_record_class_is_sampled(samples):
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 26
     assert not [cls.__qualname__ for cls in RECORDS if len(samples[cls]) < 2]
 
 
